@@ -3,7 +3,7 @@
 //! for the corresponding observation.
 //!
 //! ```sh
-//! cargo run --release -p zen2-bench --bin ablations
+//! cargo run --release -p zen2-experiments --bin ablations
 //! ```
 
 use zen2_isa::{KernelClass, OperandWeight};

@@ -1146,6 +1146,26 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_row_is_a_named_error_not_a_stack_overflow() {
+        let sweep = sweep_3x2();
+        let (grouped, _) = populated(&sweep);
+        let mut ck = Checkpoint::new(&sweep, 6, 4);
+        ck.set_grouped("grid", &grouped);
+        let path = tmp("deep-row");
+        ck.save(&path).unwrap();
+        let mut text = std::fs::read_to_string(&path).unwrap();
+        let row_line = text.lines().count() + 1;
+        text.push_str(&format!("{{\"state\":\"grid\",\"row\":{}\n", "[".repeat(200_000)));
+        std::fs::write(&path, text).unwrap();
+        let err = Checkpoint::load(&path).unwrap_err();
+        std::fs::remove_file(&path).unwrap();
+        assert!(matches!(err, CheckpointError::Malformed(_)), "{err:?}");
+        let message = err.to_string();
+        assert!(message.contains(&format!("line {row_line}")), "{message}");
+        assert!(message.contains("nesting deeper than 128 levels"), "{message}");
+    }
+
+    #[test]
     fn save_temp_file_appends_rather_than_replacing_the_extension() {
         // Checkpoint paths sharing a stem (run.fig07 / run.fig09) must
         // not funnel through one temp file: saving to `<dir>/x.fig07`

@@ -26,7 +26,7 @@
 //! # Span hierarchy
 //!
 //! ```text
-//! sweep                         one streaming run
+//! sweep                         one run of any Session entry point
 //! └── shard                     one workers × shard_size case group
 //!     ├── boot                  prototype boot into the LRU cache
 //!     ├── pool                  the worker-pool execution of the shard
@@ -37,9 +37,8 @@
 //!     └── checkpoint            the shard-boundary callback
 //! ```
 //!
-//! Materialized batches ([`Session::run`](crate::Session::run)) emit the
-//! same shape under a single `batch` span instead of `sweep`/`shard`.
-//! A failed run aborts mid-span, so sinks must tolerate spans that
+//! Materialized batches ([`Session::run`](crate::Session::run)) go
+//! through the same streaming core and emit the same shape. A failed run aborts mid-span, so sinks must tolerate spans that
 //! never close (the bundled sinks all do).
 //!
 //! Span ids come from one process-wide counter, so they are unique
@@ -76,7 +75,7 @@ pub type Attr<'a> = (&'static str, AttrValue<'a>);
 /// concurrently from the session's worker threads.
 pub trait Recorder: Send + Sync {
     /// A span opened. `parent` is `None` only for root spans
-    /// (`sweep`/`batch`); `attrs` are valid for this call only.
+    /// (`sweep`); `attrs` are valid for this call only.
     fn span_open(&self, id: SpanId, parent: Option<SpanId>, name: &'static str, attrs: &[Attr<'_>]);
 
     /// The span closed. Every close matches an earlier open, but an
@@ -99,21 +98,19 @@ pub trait Recorder: Send + Sync {
     fn event(&self, name: &'static str, attrs: &[Attr<'_>]);
 }
 
-/// Root span of one streaming run. Attrs: `first_index`, `workers`,
+/// Root span of one run. Attrs: `first_index`, `workers`,
 /// `shard_size`.
 pub const SPAN_SWEEP: &str = "sweep";
-/// Root span of one materialized batch. Attrs: `cases`.
-pub const SPAN_BATCH: &str = "batch";
 /// One shard-group of a streaming run. Attrs: `first`, `cases`.
 pub const SPAN_SHARD: &str = "shard";
-/// The worker-pool execution of one shard/batch. Attrs: `cases`,
+/// The worker-pool execution of one shard. Attrs: `cases`,
 /// `workers`.
 pub const SPAN_POOL: &str = "pool";
 /// One case on its worker thread. Attrs: `index`, `label`, `worker`,
 /// `cached`.
 pub const SPAN_CASE: &str = "case";
 /// A machine boot: either a prototype boot into the cache (attr
-/// `prototype: true`, under a `shard`/`batch` span) or a per-case
+/// `prototype: true`, under a `shard` span) or a per-case
 /// from-scratch boot (under its `case` span).
 pub const SPAN_BOOT: &str = "boot";
 /// A fork from a cached prototype, under its `case` span.

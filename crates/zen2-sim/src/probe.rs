@@ -222,10 +222,9 @@ impl ProbeSpec {
     }
 }
 
-/// RAPL polling cadence shared by the probe engine and the legacy
-/// [`System::measure_rapl_w`]: ~100 ms steps, staying far from counter
-/// wrap.
-pub(crate) fn rapl_poll_steps(len: Ns) -> u64 {
+/// RAPL polling cadence of the probe engine: ~100 ms steps, staying far
+/// from counter wrap.
+fn rapl_poll_steps(len: Ns) -> u64 {
     (to_secs(len) / 0.1).ceil().max(1.0) as u64
 }
 
@@ -381,9 +380,8 @@ impl Run {
     }
 }
 
-/// An open RAPL measurement window: reader plus bookkeeping, shared by
-/// the probe engine and the legacy `measure_rapl_w` wrapper so both
-/// observe counters through the identical MSR path.
+/// An open RAPL measurement window: reader plus bookkeeping, so every
+/// RAPL probe observes counters through the MSR path software uses.
 pub(crate) struct RaplWindow {
     reader: RaplReader,
     from: Ns,

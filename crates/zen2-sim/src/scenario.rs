@@ -683,7 +683,8 @@ impl System {
     }
 
     /// Executes an already-validated scenario ([`Session`](crate::Session)
-    /// validates whole batches up front and skips the per-case re-check).
+    /// validates each shard group up front and skips the per-case
+    /// re-check).
     pub(crate) fn run_scenario_prechecked(&mut self, scenario: &Scenario) -> Run {
         let offset = self.now_ns();
 

@@ -2,29 +2,32 @@
 //! worker pool, with results identical to serial execution.
 //!
 //! Each case runs on its own freshly seeded machine, so results depend
-//! only on the case — never on scheduling — and [`Session::run`] returns
-//! them in case order regardless of the worker count. Machines are
-//! forked from one booted prototype per distinct configuration
-//! ([`System::fork`]), so the boot cost (MSR file construction, workload
-//! registry, thermal settling) is paid once per configuration instead of
-//! once per case. Configurations are compared structurally
-//! (`SimConfig: PartialEq`), so two configs can never share a prototype
-//! unless they are actually equal.
+//! only on the case — never on scheduling — and every entry point
+//! delivers them in case order regardless of the worker count.
 //!
-//! A case that panics mid-simulation does not take the batch down with
+//! All three entry points share one streaming core: it pulls cases one
+//! shard-group (`workers × shard_size` cases) at a time, runs the group
+//! on the worker pool, and hands each completed [`Run`] back in case
+//! order, so at most `workers × shard_size` cases are resident.
+//! [`Session::run_streaming`] feeds it a lazy iterator (e.g.
+//! [`Sweep::cases`](crate::Sweep::cases)) and a sink;
+//! [`Session::run_streaming_checkpointed`] also reports every shard
+//! boundary (a consistent cut to persist accumulator snapshots at) and
+//! offsets delivery indices for a resume; [`Session::run`] validates a
+//! materialized batch up front and collects it.
+//!
+//! Machines are forked from booted prototypes ([`System::fork`]) kept in
+//! a small least-recently-used cache across shards, so the boot cost
+//! (MSR file construction, workload registry, thermal settling) is paid
+//! once per shared configuration instead of once per case.
+//! Configurations are compared structurally (`SimConfig: PartialEq`), so
+//! two configs can never share a prototype unless they are actually
+//! equal.
+//!
+//! A case that panics mid-simulation does not take its shard down with
 //! it: the panic is caught on the worker, attributed to its case, and
-//! surfaced as a [`SessionError`] while every other case still runs to
-//! completion.
-//!
-//! For grids too large to materialize, [`Session::run_streaming`]
-//! consumes a lazy case iterator (e.g. [`Sweep::cases`](crate::Sweep::cases))
-//! one shard-group at a time and delivers each completed [`Run`] to a
-//! sink in case order, holding at most `workers × shard_size` cases in
-//! memory. [`Session::run_streaming_checkpointed`] is the same path
-//! with two additions for interruptible paper-scale sweeps: the sink
-//! also observes every shard boundary (a consistent cut to persist
-//! accumulator snapshots at) and delivery indices can start at a resume
-//! offset.
+//! surfaced as a [`SessionError`] after every other case of the shard
+//! has run to completion.
 //!
 //! ```
 //! use zen2_sim::{Case, Probe, Scenario, Session, SimConfig, Window};
@@ -78,7 +81,6 @@ impl Case {
 pub struct Session {
     workers: usize,
     shard: usize,
-    reuse_boots: bool,
     recorder: Option<Arc<dyn Recorder>>,
 }
 
@@ -87,7 +89,6 @@ impl fmt::Debug for Session {
         f.debug_struct("Session")
             .field("workers", &self.workers)
             .field("shard", &self.shard)
-            .field("reuse_boots", &self.reuse_boots)
             .field("recorder", &self.recorder.as_ref().map(|_| "attached"))
             .finish()
     }
@@ -99,7 +100,7 @@ impl Default for Session {
     }
 }
 
-/// Booted prototypes the streaming path keeps across shards, at most
+/// Booted prototypes the streaming core keeps across shards, at most
 /// this many (each is a fully booted machine; an unbounded cache would
 /// defeat the bounded-memory point of streaming).
 const PROTOTYPE_CACHE_CAP: usize = 4;
@@ -108,7 +109,7 @@ impl Session {
     /// A session sized to the host's available parallelism.
     pub fn new() -> Self {
         let workers = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
-        Self { workers, shard: 16, reuse_boots: true, recorder: None }
+        Self { workers, shard: 16, recorder: None }
     }
 
     /// Sets the worker count (results do not depend on it). Zero is
@@ -118,20 +119,11 @@ impl Session {
         self
     }
 
-    /// Sets the per-worker shard size of the streaming path
-    /// ([`run_streaming`](Self::run_streaming) holds at most
+    /// Sets the per-worker shard size (every run holds at most
     /// `workers × shard_size` cases in memory; results do not depend on
     /// it). Zero is clamped to one.
     pub fn shard_size(mut self, n: usize) -> Self {
         self.shard = n.max(1);
-        self
-    }
-
-    /// Disables prototype reuse: every case boots its own machine from
-    /// scratch. Results are identical either way; this exists for
-    /// benchmarking the reuse win.
-    pub fn reuse_boots(mut self, reuse: bool) -> Self {
-        self.reuse_boots = reuse;
         self
     }
 
@@ -151,12 +143,19 @@ impl Session {
         Obs::new(self.recorder.as_deref())
     }
 
-    /// Validates every case, then executes the batch across the worker
-    /// pool. Results come back in case order and are a pure function of
-    /// each `(config, scenario, seed)` triple. An empty batch returns an
+    /// Validates every case, then executes the batch through the
+    /// streaming core and collects it: an invalid case anywhere in the
+    /// batch fails it before anything is simulated. Results come back
+    /// in case order and are a pure function of each
+    /// `(config, scenario, seed)` triple. An empty batch returns an
     /// empty `Vec`.
     pub fn run(&self, cases: &[Case]) -> Result<Vec<Run>, SessionError> {
-        self.run_with(cases, |sys, case| sys.run_scenario_prechecked(&case.scenario))
+        for case in cases {
+            validate_case(case)?;
+        }
+        let mut runs = Vec::with_capacity(cases.len());
+        self.run_streaming(cases.iter().cloned(), |_, run| runs.push(run))?;
+        Ok(runs)
     }
 
     /// Executes a lazily produced case stream without ever materializing
@@ -192,13 +191,16 @@ impl Session {
     /// assert_eq!(n, 100);
     /// assert!((sum / 100.0 - 99.1).abs() < 2.0); // the Fig. 7 idle floor
     /// ```
-    pub fn run_streaming<I, F>(&self, cases: I, sink: F) -> Result<usize, SessionError>
+    pub fn run_streaming<I, F>(&self, cases: I, mut sink: F) -> Result<usize, SessionError>
     where
         I: IntoIterator<Item = Case>,
         F: FnMut(usize, Run),
     {
-        self.run_streaming_with(cases, sink, |sys, case| {
-            sys.run_scenario_prechecked(&case.scenario)
+        self.run_streaming_checkpointed(0, cases, |event| {
+            if let StreamEvent::Run { index, run } = event {
+                sink(index, run);
+            }
+            Ok(StreamControl::Continue)
         })
     }
 
@@ -215,7 +217,7 @@ impl Session {
     /// [`Checkpoint`](crate::checkpoint::Checkpoint)). `first_index`
     /// offsets delivery indices for resumed streams: pass the index of
     /// the first case in `cases` (e.g. the `done` count of a loaded
-    /// checkpoint, with `cases = sweep.skip(done)`).
+    /// checkpoint, with `cases = sweep.take_range(done, sweep.len())`).
     ///
     /// The callback steers the stream: [`StreamControl::Halt`] stops
     /// cleanly after the current event (the paper-scale "stop now,
@@ -262,114 +264,19 @@ impl Session {
         I: IntoIterator<Item = Case>,
         F: FnMut(StreamEvent) -> Result<StreamControl, String>,
     {
-        self.run_streaming_events_with(first_index, cases, on_event, |sys, case| {
+        self.stream(first_index, cases, on_event, |sys, case| {
             sys.run_scenario_prechecked(&case.scenario)
         })
     }
 
-    /// [`run`](Self::run) with an injectable per-case executor, so the
-    /// panic-containment machinery is testable without a scenario that
-    /// slips past validation only to explode at runtime.
-    fn run_with(
-        &self,
-        cases: &[Case],
-        execute: impl Fn(&mut System, &Case) -> Run + Sync,
-    ) -> Result<Vec<Run>, SessionError> {
-        for case in cases {
-            validate_case(case)?;
-        }
-        let obs = self.obs();
-        let batch_span =
-            obs.open(None, obs::SPAN_BATCH, &[("cases", AttrValue::U64(cases.len() as u64))]);
-
-        // One booted prototype per configuration that is actually shared
-        // (booting a prototype for a config used once would cost more
-        // than it saves). Identity is structural equality, never a
-        // rendered key that semantically different configs could collide
-        // on.
-        let mut distinct: Vec<&SimConfig> = Vec::new();
-        let keys: Vec<usize> = cases
-            .iter()
-            .map(|case| {
-                distinct.iter().position(|c| **c == case.config).unwrap_or_else(|| {
-                    distinct.push(&case.config);
-                    distinct.len() - 1
-                })
-            })
-            .collect();
-        let mut prototypes: Vec<Option<System>> = (0..distinct.len()).map(|_| None).collect();
-        if self.reuse_boots {
-            let mut uses = vec![0usize; distinct.len()];
-            for &k in &keys {
-                uses[k] += 1;
-            }
-            for ((slot, &cfg), &n) in prototypes.iter_mut().zip(&distinct).zip(&uses) {
-                if n > 1 {
-                    let boot = obs.open(
-                        batch_span,
-                        obs::SPAN_BOOT,
-                        &[("prototype", AttrValue::Bool(true))],
-                    );
-                    *slot = Some(System::new(cfg.clone(), 0));
-                    obs.close(boot);
-                }
-            }
-        }
-
-        let protos: Vec<Option<&System>> = keys.iter().map(|&k| prototypes[k].as_ref()).collect();
-        let hits = protos.iter().filter(|p| p.is_some()).count() as u64;
-        obs.counter(CTR_CACHE_HIT, hits);
-        obs.counter(CTR_CACHE_MISS, cases.len() as u64 - hits);
-        let outcomes = pool_outcomes(cases, &protos, self.workers, &execute, obs, batch_span, 0);
-        obs.counter(CTR_CASES_DONE, cases.len() as u64);
-        obs.close(batch_span);
-
-        let mut runs = Vec::with_capacity(cases.len());
-        for (case, outcome) in cases.iter().zip(outcomes) {
-            match outcome {
-                Ok(run) => runs.push(run),
-                Err(panic) => {
-                    return Err(SessionError {
-                        case: case.label.clone(),
-                        kind: SessionErrorKind::WorkerPanicked(panic),
-                    })
-                }
-            }
-        }
-        Ok(runs)
-    }
-
-    /// [`run_streaming`](Self::run_streaming) with an injectable
-    /// executor (the panic-containment test hook).
-    fn run_streaming_with<I, F>(
-        &self,
-        cases: I,
-        mut sink: F,
-        execute: impl Fn(&mut System, &Case) -> Run + Sync,
-    ) -> Result<usize, SessionError>
-    where
-        I: IntoIterator<Item = Case>,
-        F: FnMut(usize, Run),
-    {
-        self.run_streaming_events_with(
-            0,
-            cases,
-            |event| {
-                if let StreamEvent::Run { index, run } = event {
-                    sink(index, run);
-                }
-                Ok(StreamControl::Continue)
-            },
-            execute,
-        )
-    }
-
-    /// The streaming core every public streaming entry point reduces
-    /// to: pulls `cases` one shard-group (`workers × shard_size` cases)
-    /// at a time, executes each shard on the worker pool, and reports
+    /// The streaming core every entry point reduces to: pulls `cases`
+    /// one shard-group (`workers × shard_size` cases) at a time,
+    /// validates and executes each shard on the worker pool, and reports
     /// deliveries and shard boundaries through `on_event` with indices
-    /// offset by `first_index`.
-    fn run_streaming_events_with<I, F>(
+    /// offset by `first_index`. `execute` runs one case on its machine;
+    /// it is injectable so the panic containment is testable without a
+    /// scenario that slips past validation only to explode at runtime.
+    fn stream<I, F>(
         &self,
         first_index: usize,
         cases: I,
@@ -421,9 +328,7 @@ impl Session {
                 ],
             );
             obs.observe(OBS_SHARD_CASES, shard_cases.len() as f64);
-            if self.reuse_boots {
-                cache.prepare(&shard_cases, obs, shard_span);
-            }
+            cache.prepare(&shard_cases, obs, shard_span);
             let protos: Vec<Option<&System>> =
                 shard_cases.iter().map(|case| cache.get(&case.config)).collect();
             let hits = protos.iter().filter(|p| p.is_some()).count() as u64;
@@ -716,7 +621,8 @@ pub enum SessionErrorKind {
     /// The case's scenario failed validation; nothing was simulated.
     InvalidScenario(ScenarioError),
     /// The case panicked mid-simulation (an engine bug, not a scenario
-    /// authoring error); the other cases still ran to completion.
+    /// authoring error); the other cases of its shard still ran to
+    /// completion.
     WorkerPanicked(String),
     /// The streaming event callback failed (typically: a checkpoint
     /// file could not be written at a shard boundary); the stream
@@ -761,6 +667,28 @@ mod tests {
         let mut sc = Scenario::new();
         sc.probe("ac", Probe::AcPowerW, Window::at(0));
         sc
+    }
+
+    /// Streams `batch` through the core with an injected executor,
+    /// returning the delivered indices and the outcome.
+    fn stream_executing(
+        session: &Session,
+        batch: Vec<Case>,
+        execute: impl Fn(&mut System, &Case) -> Run + Sync,
+    ) -> (Vec<usize>, Result<usize, SessionError>) {
+        let mut delivered = Vec::new();
+        let outcome = session.stream(
+            0,
+            batch,
+            |event| {
+                if let StreamEvent::Run { index, .. } = event {
+                    delivered.push(index);
+                }
+                Ok(StreamControl::Continue)
+            },
+            execute,
+        );
+        (delivered, outcome)
     }
 
     fn cases(labels: &[&str]) -> Vec<Case> {
@@ -819,21 +747,14 @@ mod tests {
     #[test]
     fn streaming_panic_is_attributed_and_earlier_runs_are_delivered() {
         let batch = cases(&["a", "b", "boom", "d"]);
-        let mut delivered = Vec::new();
-        let err = Session::new()
-            .workers(1)
-            .shard_size(2)
-            .run_streaming_with(
-                batch,
-                |i, _| delivered.push(i),
-                |sys, case| {
-                    if case.label == "boom" {
-                        panic!("stream kaboom");
-                    }
-                    sys.run_scenario_prechecked(&case.scenario)
-                },
-            )
-            .unwrap_err();
+        let session = Session::new().workers(1).shard_size(2);
+        let (delivered, outcome) = stream_executing(&session, batch, |sys, case| {
+            if case.label == "boom" {
+                panic!("stream kaboom");
+            }
+            sys.run_scenario_prechecked(&case.scenario)
+        });
+        let err = outcome.unwrap_err();
         assert_eq!(err.case, "boom");
         assert!(matches!(err.kind, SessionErrorKind::WorkerPanicked(_)));
         // The first shard (cases 0-1) completed and streamed out before
@@ -975,15 +896,16 @@ mod tests {
     #[test]
     fn worker_panic_is_attributed_not_cascaded() {
         let batch = cases(&["a", "boom", "c", "d"]);
-        let err = Session::new()
-            .workers(2)
-            .run_with(&batch, |sys, case| {
+        let (delivered, outcome) =
+            stream_executing(&Session::new().workers(2), batch, |sys, case| {
                 if case.label == "boom" {
                     panic!("kaboom in {}", case.label);
                 }
                 sys.run_scenario_prechecked(&case.scenario)
-            })
-            .unwrap_err();
+            });
+        let err = outcome.unwrap_err();
+        // Nothing past the panicking case is delivered.
+        assert_eq!(delivered, [0]);
         assert_eq!(err.case, "boom", "the panic must name its own case");
         match err.kind {
             SessionErrorKind::WorkerPanicked(ref message) => {
@@ -999,32 +921,31 @@ mod tests {
         // attributed deterministically: the earliest case in batch order.
         let batch = cases(&["a", "boom1", "boom2", "d"]);
         for workers in [1, 3] {
-            let err = Session::new()
-                .workers(workers)
-                .run_with(&batch, |sys, case| {
-                    if case.label.starts_with("boom") {
-                        panic!("{} fell over", case.label);
-                    }
-                    sys.run_scenario_prechecked(&case.scenario)
-                })
-                .unwrap_err();
-            assert_eq!(err.case, "boom1");
+            let session = Session::new().workers(workers);
+            let (_, outcome) = stream_executing(&session, batch.clone(), |sys, case| {
+                if case.label.starts_with("boom") {
+                    panic!("{} fell over", case.label);
+                }
+                sys.run_scenario_prechecked(&case.scenario)
+            });
+            assert_eq!(outcome.unwrap_err().case, "boom1");
         }
     }
 
     #[test]
     fn panicking_batch_still_runs_the_other_cases() {
-        // Observable through the executor: every non-panicking case is
-        // still executed even though one case blew up.
+        // Observable through the executor: every non-panicking case of
+        // the shard is still executed even though one case blew up.
         let executed = Mutex::new(Vec::new());
         let batch = cases(&["a", "boom", "c", "d"]);
-        let _ = Session::new().workers(2).run_with(&batch, |sys, case| {
+        let (_, outcome) = stream_executing(&Session::new().workers(2), batch, |sys, case| {
             if case.label == "boom" {
                 panic!("down");
             }
             executed.lock().unwrap().push(case.label.clone());
             sys.run_scenario_prechecked(&case.scenario)
         });
+        assert!(outcome.is_err());
         let mut ran = executed.into_inner().unwrap();
         ran.sort();
         assert_eq!(ran, ["a", "c", "d"]);

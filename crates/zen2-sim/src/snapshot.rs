@@ -292,9 +292,10 @@ impl Json {
     /// else after the document is an error).
     ///
     /// # Errors
-    /// Errors on malformed JSON, with a byte offset in the message.
+    /// Errors on malformed JSON, with a byte offset in the message, and
+    /// on arrays/objects nested more than 128 levels deep.
     pub fn parse(text: &str) -> Result<Json, SnapshotError> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
         let value = p.value()?;
         p.skip_ws();
         if p.pos != p.bytes.len() {
@@ -323,10 +324,17 @@ fn escape_into(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// The deepest array/object nesting [`Json::parse`] accepts. The
+/// parser recurses once per level, so unbounded input could overflow
+/// the stack; the deepest snapshot this crate writes nests 6 levels.
+const MAX_JSON_DEPTH: usize = 128;
+
 /// A recursive-descent JSON parser over raw bytes.
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -369,8 +377,15 @@ impl Parser<'_> {
             Some(b't') if self.literal("true") => Ok(Json::Bool(true)),
             Some(b'f') if self.literal("false") => Ok(Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_JSON_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_JSON_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let value = if open == b'[' { self.array() } else { self.object() };
+                self.depth -= 1;
+                value
+            }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
@@ -692,6 +707,20 @@ mod tests {
         for text in ["", "{", "[1,]", "{\"a\":}", "tru", "1.2.3", "\"unterminated", "1 2"] {
             assert!(Json::parse(text).is_err(), "{text:?} must not parse");
         }
+    }
+
+    #[test]
+    fn parser_bounds_nesting_instead_of_overflowing_the_stack() {
+        let deep = "[".repeat(200_000);
+        let err = Json::parse(&deep).unwrap_err();
+        assert!(err.to_string().contains("nesting deeper than 128 levels"), "{err}");
+        let objects = "{\"a\":".repeat(200_000);
+        assert!(Json::parse(&objects).unwrap_err().to_string().contains("nesting deeper"));
+        // The bound itself still parses, one level more does not.
+        let at_bound = format!("{}{}", "[".repeat(MAX_JSON_DEPTH), "]".repeat(MAX_JSON_DEPTH));
+        assert!(Json::parse(&at_bound).is_ok());
+        let past = format!("[{at_bound}]");
+        assert!(Json::parse(&past).is_err());
     }
 
     #[test]

@@ -499,7 +499,7 @@ impl TransitionStats {
 ///
 /// let mut by_load: GroupedStats<OnlineStats> = GroupedStats::new(&sweep, &["busy_threads"]);
 /// let session = Session::new().workers(2).shard_size(2);
-/// sweep.stream(&session, |i, run| by_load.entry(i).push(run.watts("ac"))).unwrap();
+/// session.run_streaming(sweep.cases(), |i, run| by_load.entry(i).push(run.watts("ac"))).unwrap();
 ///
 /// assert_eq!(by_load.len(), 2);
 /// let rows: Vec<_> = by_load.rows().collect();
@@ -570,7 +570,7 @@ impl<A> GroupedStats<A> {
     }
 
     /// The accumulator for case `case_index`'s group, created on first
-    /// touch — the call a [`Sweep::stream`] sink makes per delivery.
+    /// touch — the call a streaming sink makes per delivery.
     ///
     /// # Panics
     /// Panics when `case_index` is outside the grid the reducer was

@@ -1,13 +1,16 @@
 //! Declarative parameter sweeps: a grid of axes lazily yielding
-//! [`Case`]s, streamed through a [`Session`] worker pool and reduced
-//! with the on-line aggregators in [`stats`](crate::stats).
+//! [`Case`]s, streamed through a [`Session`](crate::Session) worker
+//! pool and reduced with the on-line aggregators in
+//! [`stats`](crate::stats).
 //!
 //! A [`Sweep`] describes a cross product without materializing it: each
 //! [`Axis`] contributes a list of labelled values, and every grid point
 //! is built on demand by applying one value per axis to a draft of the
-//! base `(config, scenario, seed)`. [`Sweep::stream`] then pushes each
-//! completed [`Run`] to a sink in case order while the session holds at
-//! most `workers × shard_size` cases in memory — a million-point grid
+//! base `(config, scenario, seed)`.
+//! [`Session::run_streaming`](crate::Session::run_streaming) over
+//! [`Sweep::cases`] then pushes each completed [`Run`](crate::Run) to a
+//! sink in case order while the session holds at most
+//! `workers × shard_size` cases in memory — a million-point grid
 //! reduces to bounded-size summaries:
 //!
 //! ```
@@ -29,16 +32,14 @@
 //!     }));
 //! let mut ghz = OnlineStats::new();
 //! let session = Session::new().workers(2).shard_size(4);
-//! let n = sweep.stream(&session, |_, run| ghz.push(run.ghz("ghz"))).unwrap();
+//! let n = session.run_streaming(sweep.cases(), |_, run| ghz.push(run.ghz("ghz"))).unwrap();
 //! assert_eq!(n, 2);
 //! assert!(ghz.min() < ghz.max());
 //! ```
 
 use crate::config::SimConfig;
-use crate::obs::{AttrValue, EVT_SWEEP_TOTAL};
-use crate::probe::Run;
 use crate::scenario::Scenario;
-use crate::session::{Case, Session, SessionError, StreamControl, StreamEvent};
+use crate::session::Case;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -332,39 +333,15 @@ impl Sweep {
         (0..self.len()).map(|index| self.case(index))
     }
 
-    /// Lazily yields the grid's cases starting at case `start` — the
-    /// resume path. Because every case is a pure function of its index
-    /// (seeds come from the sweep's seed derivation, labels and
-    /// scenarios from the axis decode), `skip(k)` re-derives exactly
-    /// the cases an interrupted run had left: same labels, same
-    /// `child_seed`s, same scenarios. A `start` at or beyond the grid
-    /// yields nothing.
-    ///
-    /// ```
-    /// use zen2_sim::{Axis, SimConfig, Sweep};
-    ///
-    /// let sweep = Sweep::new("grid", SimConfig::epyc_7502_2s())
-    ///     .seed(7)
-    ///     .axis(Axis::param("x", [0.0, 1.0, 2.0]))
-    ///     .axis(Axis::param("y", [0.0, 1.0]));
-    /// // Resuming at case 4 re-derives the identical tail of the grid.
-    /// let tail: Vec<_> = sweep.skip(4).map(|c| (c.label, c.seed)).collect();
-    /// let full: Vec<_> = sweep.cases().map(|c| (c.label, c.seed)).collect();
-    /// assert_eq!(tail, full[4..]);
-    /// assert_eq!(sweep.skip(99).count(), 0);
-    /// ```
-    pub fn skip(&self, start: usize) -> impl Iterator<Item = Case> + '_ {
-        (start.min(self.len())..self.len()).map(|index| self.case(index))
-    }
-
     /// Lazily yields exactly the cases `start..start + len` (clamped to
-    /// the grid) — the shard path. [`skip`](Self::skip) bounds only the
-    /// *front* of the iterator; a shard handed `skip(start)` would let
-    /// the session pull — and execute — cases past its range's end,
-    /// because the engine fetches a full `workers × shard_size` group
-    /// at a time before it looks at what arrived. `take_range` bounds
-    /// the tail too, so a shard never derives a case outside its slice
-    /// no matter the worker/shard-size split.
+    /// the grid) — the resume and shard path. Because every case is a
+    /// pure function of its index (seeds come from the sweep's seed
+    /// derivation, labels and scenarios from the axis decode), a slice
+    /// re-derives exactly the cases an interrupted run had left. Both
+    /// ends are bounded: the session fetches a full
+    /// `workers × shard_size` group at a time before it looks at what
+    /// arrived, and a slice never derives a case outside itself no
+    /// matter the worker/shard-size split.
     ///
     /// ```
     /// use zen2_sim::{Axis, SimConfig, Sweep};
@@ -384,52 +361,6 @@ impl Sweep {
         let start = start.min(self.len());
         let end = start.saturating_add(len).min(self.len());
         (start..end).map(|index| self.case(index))
-    }
-
-    /// Streams the grid from case `start` through a session with the
-    /// checkpoint hook: `on_event` observes every delivery (with its
-    /// *global* case index) and every shard boundary, exactly as
-    /// [`Session::run_streaming_checkpointed`] describes. Pass the
-    /// `done` count of a loaded checkpoint as `start` to resume, or 0
-    /// to run the whole grid; either way, interrupt-at-a-boundary plus
-    /// resume is byte-identical to one uninterrupted run. Returns the
-    /// number of runs delivered by this call.
-    pub fn stream_checkpointed(
-        &self,
-        session: &Session,
-        start: usize,
-        on_event: impl FnMut(StreamEvent) -> Result<StreamControl, String>,
-    ) -> Result<usize, SessionError> {
-        self.announce(session, start);
-        session.run_streaming_checkpointed(start, self.skip(start), on_event)
-    }
-
-    /// Streams the whole grid through a session: each completed
-    /// [`Run`] is handed to `sink` with its case index, in case order,
-    /// while at most `workers × shard_size` cases are resident. Returns
-    /// the number of runs delivered.
-    pub fn stream(
-        &self,
-        session: &Session,
-        sink: impl FnMut(usize, Run),
-    ) -> Result<usize, SessionError> {
-        self.announce(session, 0);
-        session.run_streaming(self.cases(), sink)
-    }
-
-    /// Emits the [`EVT_SWEEP_TOTAL`] progress event for a run of this
-    /// grid starting at case `start` — what a progress sink needs for
-    /// percentages and ETA. ([`run_resumable`](crate::checkpoint::run_resumable)
-    /// announces its grid-plus-riders total itself.)
-    fn announce(&self, session: &Session, start: usize) {
-        session.obs().event(
-            EVT_SWEEP_TOTAL,
-            &[
-                ("sweep", AttrValue::Str(self.label())),
-                ("total", AttrValue::U64(self.len() as u64)),
-                ("start", AttrValue::U64(start as u64)),
-            ],
-        );
     }
 }
 

@@ -456,18 +456,8 @@ impl System {
     // All windowed measurements share one core: `trace_mean_w` (true
     // power from the piecewise-constant trace), `metered_mean_w` (LMG670
     // samples + inner-window averaging) and `probe::RaplWindow` (MSR
-    // energy-counter polling). The legacy `measure_*` methods below and
-    // the declarative `Probe` layer are both thin wrappers over these.
-
-    /// Runs for `secs` and returns the externally-measured mean AC power
-    /// over the inner 80 % of the interval (the paper's 10 s / inner-8 s
-    /// methodology), including LMG670 sampling and instrument noise.
-    pub fn measure_ac_w(&mut self, secs: f64) -> f64 {
-        let from = self.now;
-        self.run_for_secs(secs);
-        let to = self.now;
-        self.metered_mean_w(from, to)
-    }
+    // energy-counter polling). The declarative `Probe` layer is a thin
+    // wrapper over these.
 
     /// Externally-measured mean AC power over a past interval: LMG670
     /// samples averaged over the inner 80 % of the window.
@@ -507,20 +497,6 @@ impl System {
             }
         }
         energy / to_secs(to - from)
-    }
-
-    /// Runs for `secs` and returns mean RAPL power per domain as software
-    /// would compute it: `(package sum, core sum)` in watts, read through
-    /// the MSR energy counters, polled at ~100 ms to stay far from
-    /// counter wrap.
-    pub fn measure_rapl_w(&mut self, secs: f64) -> (f64, f64) {
-        let mut window = crate::probe::RaplWindow::open(self);
-        let steps = crate::probe::rapl_poll_steps(crate::time::from_secs(secs));
-        for _ in 0..steps {
-            self.run_for_secs(secs / steps as f64);
-            window.poll(self);
-        }
-        window.finish(self)
     }
 
     /// Copies the published RAPL counters into the MSR file (the moment
@@ -773,6 +749,8 @@ impl System {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::probe::{Probe, Window};
+    use crate::scenario::Scenario;
     use crate::time::MICROSECOND;
 
     fn boot() -> System {
@@ -884,9 +862,15 @@ mod tests {
             sys.set_workload(ThreadId(t), KernelClass::AddPd, OperandWeight::HALF);
         }
         sys.run_for_secs(0.05);
-        let (pkg_w, core_w) = sys.measure_rapl_w(1.0);
+        let mut sc = Scenario::new();
+        sc.probe("rapl", Probe::RaplW, Window::span_secs(0.0, 1.0));
+        sc.probe("core0", Probe::RaplCoreW(CoreId(0)), Window::span_secs(0.0, 1.0));
+        let run = sys.run_scenario(&sc).unwrap();
+        let (pkg_w, core_w) = run.watts_pair("rapl");
         assert!(pkg_w > 100.0 && pkg_w < 400.0, "package sum {pkg_w:.0} W");
         assert!(core_w > 50.0 && core_w < pkg_w, "core sum {core_w:.0} W");
+        let core0_w = run.watts("core0");
+        assert!(core0_w > 0.0 && core0_w < core_w, "core 0 {core0_w:.2} W");
     }
 
     #[test]
@@ -905,14 +889,16 @@ mod tests {
     }
 
     #[test]
-    fn measure_ac_matches_trace_within_instrument_noise() {
+    fn metered_ac_matches_trace_within_instrument_noise() {
         let mut sys = boot();
         for t in 0..32u32 {
             sys.set_workload(ThreadId(t), KernelClass::Compute, OperandWeight::HALF);
         }
         sys.run_for_secs(0.05);
         let from = sys.now_ns();
-        let metered = sys.measure_ac_w(1.0);
+        let mut sc = Scenario::new();
+        sc.probe("ac", Probe::AcMeteredW, Window::span_secs(0.0, 1.0));
+        let metered = sys.run_scenario(&sc).unwrap().watts("ac");
         let truth = sys.trace_mean_w(from, sys.now_ns());
         assert!((metered - truth).abs() < 0.5, "metered {metered:.2} vs truth {truth:.2}");
     }

@@ -13,6 +13,7 @@
 
 use std::path::{Path, PathBuf};
 use zen2_ee::prelude::*;
+use zen2_sim::checkpoint::{run_resumable, CheckpointState};
 
 /// A 3 × 4 grid of instantaneous power reads — cheap enough to run a
 /// few hundred times, rich enough that every cell differs.
@@ -35,41 +36,46 @@ fn grid() -> Sweep {
         .axis(Axis::param("rep", (0..4).map(f64::from)))
 }
 
-/// The shared driver shape of every checkpointed experiment module: a
-/// grouped reducer plus one overall accumulator, persisted at each
-/// shard boundary per `spec`. Returns `None` when the run halted early.
+/// The accumulator bundle of every checkpointed experiment module's
+/// shape: a grouped reducer plus one overall accumulator.
+struct GridState {
+    grouped: GroupedStats<OnlineStats>,
+    overall: OnlineStats,
+}
+
+impl CheckpointState for GridState {
+    fn save_into(&self, checkpoint: &mut Checkpoint) {
+        checkpoint.set_grouped("grid", &self.grouped);
+        checkpoint.set_single("overall", &self.overall);
+    }
+
+    fn restore_from(&mut self, checkpoint: &Checkpoint) -> Result<(), CheckpointError> {
+        self.grouped = checkpoint.grouped("grid", &self.grouped)?;
+        self.overall = checkpoint.single("overall")?;
+        Ok(())
+    }
+
+    fn fold(&mut self, index: usize, run: Run) {
+        let watts = run.watts("ac");
+        self.grouped.entry(index).push(watts);
+        self.overall.push(watts);
+    }
+}
+
+/// Runs the grid through the shared resumable driver, persisting at
+/// each shard boundary per `spec`. Returns `None` when the run halted
+/// early.
 fn run_grid(
     sweep: &Sweep,
     session: &Session,
     spec: &CheckpointSpec,
 ) -> Option<(GroupedStats<OnlineStats>, OnlineStats)> {
-    let total = sweep.len();
-    let mut grouped: GroupedStats<OnlineStats> = GroupedStats::new(sweep, &["busy_threads"]);
-    let mut overall = OnlineStats::new();
-    let mut start = 0;
-    if let Some(checkpoint) = spec.load(sweep, total).expect("checkpoint loads") {
-        grouped = checkpoint.grouped("grid", &grouped).expect("grid state restores");
-        overall = checkpoint.single("overall").expect("overall state restores");
-        start = checkpoint.done();
-    }
-    let mut saves = 0;
-    let delivered = sweep
-        .stream_checkpointed(session, start, |event| match event {
-            StreamEvent::Run { index, run } => {
-                let watts = run.watts("ac");
-                grouped.entry(index).push(watts);
-                overall.push(watts);
-                Ok(StreamControl::Continue)
-            }
-            StreamEvent::ShardBoundary { next } => spec.on_boundary(&mut saves, || {
-                let mut checkpoint = Checkpoint::new(sweep, total, next);
-                checkpoint.set_grouped("grid", &grouped);
-                checkpoint.set_single("overall", &overall);
-                checkpoint
-            }),
-        })
-        .expect("grid scenarios validate");
-    (start + delivered == total).then_some((grouped, overall))
+    let mut state = GridState {
+        grouped: GroupedStats::new(sweep, &["busy_threads"]),
+        overall: OnlineStats::new(),
+    };
+    let done = run_resumable(sweep, vec![], session, spec, &mut state).expect("checkpoint I/O");
+    done.then_some((state.grouped, state.overall))
 }
 
 fn tmp(tag: &str) -> PathBuf {

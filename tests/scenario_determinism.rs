@@ -46,6 +46,17 @@ fn rich_scenario() -> Scenario {
     sc
 }
 
+/// Each case booted from scratch and run directly, outside any session:
+/// the reference every forked, pooled execution must reproduce.
+fn fresh_boots(batch: &[Case]) -> Vec<Run> {
+    batch
+        .iter()
+        .map(|case| {
+            System::new(case.config.clone(), case.seed).run_scenario(&case.scenario).unwrap()
+        })
+        .collect()
+}
+
 fn cases(n: u64) -> Vec<Case> {
     (0..n)
         .map(|i| {
@@ -89,8 +100,7 @@ fn session_results_are_independent_of_worker_count() {
 fn session_boot_reuse_does_not_change_results() {
     let batch = cases(4);
     let reused = Session::new().workers(2).run(&batch).unwrap();
-    let cold = Session::new().workers(2).reuse_boots(false).run(&batch).unwrap();
-    assert_eq!(reused, cold);
+    assert_eq!(reused, fresh_boots(&batch));
 }
 
 #[test]
@@ -264,8 +274,7 @@ fn inverted_windows_are_rejected_for_every_probe_family() {
 fn mixed_config_batches_never_share_prototypes_across_configs() {
     // Prototype reuse is keyed by structural config identity: a batch
     // mixing two configurations must produce exactly what the same cases
-    // produce when booted cold, and what each config's own batch
-    // produces.
+    // produce when each is booted fresh.
     let sc = rich_scenario();
     let two_socket = SimConfig::epyc_7502_2s();
     let mut tweaked = two_socket.clone();
@@ -278,8 +287,7 @@ fn mixed_config_batches_never_share_prototypes_across_configs() {
         Case::new("b1", tweaked.clone(), sc.clone(), 2),
     ];
     let mixed = Session::new().workers(2).run(&batch).unwrap();
-    let cold = Session::new().workers(2).reuse_boots(false).run(&batch).unwrap();
-    assert_eq!(mixed, cold);
+    assert_eq!(mixed, fresh_boots(&batch));
     // The two configs genuinely behave differently, so sharing a booted
     // prototype across them would have been observable.
     assert_ne!(mixed[0].measurements, mixed[1].measurements);
@@ -359,8 +367,10 @@ fn streamed_sweep_statistics_are_worker_and_shard_invariant() {
         let mut watts = OnlineStats::new();
         let mut residency = FreqResidency::new();
         let mut transitions = TransitionStats::new();
-        let n = sweep
-            .stream(&Session::new().workers(workers).shard_size(shard), |_, run| {
+        let n = Session::new()
+            .workers(workers)
+            .shard_size(shard)
+            .run_streaming(sweep.cases(), |_, run| {
                 watts.push(run.watts("ac"));
                 let records = run.events("events");
                 residency.observe(records, 0, 30 * MILLISECOND);

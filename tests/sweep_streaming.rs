@@ -1,5 +1,5 @@
 //! The sweep engine's acceptance guarantees: a 10^4-case grid streams
-//! through `Sweep::stream` with peak resident cases bounded by
+//! through `Session::run_streaming` with peak resident cases bounded by
 //! `workers × shard_size`, and its aggregated statistics are identical
 //! to a materialized `Session::run` of the same grid.
 
@@ -104,7 +104,9 @@ fn grouped_stats_are_invariant_across_worker_and_shard_splits() {
     let reduce = |workers: usize, shard: usize| {
         let mut by_load: GroupedStats<OnlineStats> = GroupedStats::new(&sweep, &["busy_threads"]);
         let session = Session::new().workers(workers).shard_size(shard);
-        sweep.stream(&session, |i, run| by_load.entry(i).push(run.watts("ac"))).unwrap();
+        session
+            .run_streaming(sweep.cases(), |i, run| by_load.entry(i).push(run.watts("ac")))
+            .unwrap();
         by_load
     };
     let reference = reduce(1, 1);
@@ -130,8 +132,10 @@ fn zero_case_grid_streams_nothing_and_grouped_stats_stay_empty() {
     let sweep = grouped_grid().axis(Axis::new("empty"));
     assert!(sweep.is_empty());
     let mut grouped: GroupedStats<OnlineStats> = GroupedStats::new(&sweep, &["busy_threads"]);
-    let delivered = sweep
-        .stream(&Session::new().workers(3).shard_size(4), |i, _| {
+    let delivered = Session::new()
+        .workers(3)
+        .shard_size(4)
+        .run_streaming(sweep.cases(), |i, _| {
             grouped.entry(i);
         })
         .unwrap();
@@ -144,26 +148,11 @@ fn zero_case_grid_streams_nothing_and_grouped_stats_stay_empty() {
 #[test]
 fn take_range_never_derives_cases_past_the_shard() {
     // The engine fetches a full workers × shard_size group from the
-    // lazy case iterator before looking at what arrived. `skip` bounds
-    // only the front of the grid, so a shard handed `skip(start)` would
-    // derive — and execute — cases past its range's end; `take_range`
-    // bounds the tail too. Counted with the same Cell pattern as the
-    // residency test above.
+    // lazy case iterator before looking at what arrived, so a slice
+    // must bound its tail, not only its front. Counted with the same
+    // Cell pattern as the residency test above.
     let sweep = grouped_grid(); // 250 cases
     let session = Session::new().workers(4).shard_size(8); // 32-case group pulls
-
-    // The latent asymmetry, demonstrated: stream from case 10 with the
-    // front-bounded iterator and halt at the very first boundary — the
-    // engine has already derived a full 32-case group.
-    let over_pulled = Cell::new(0usize);
-    let front_bounded = sweep.skip(10).inspect(|_| over_pulled.set(over_pulled.get() + 1));
-    session
-        .run_streaming_checkpointed(10, front_bounded, |event| match event {
-            StreamEvent::ShardBoundary { .. } => Ok(StreamControl::Halt),
-            _ => Ok(StreamControl::Continue),
-        })
-        .unwrap();
-    assert_eq!(over_pulled.get(), 32, "skip() let the engine pull a whole group");
 
     // take_range derives exactly the shard's ten cases — the group pull
     // stops at the slice's end — and delivers them with global indices.
@@ -216,8 +205,8 @@ fn trace_reductions_accumulate_over_a_streamed_sweep() {
     let mut residency = FreqResidency::new();
     let mut transitions = TransitionStats::new();
     let session = Session::new().workers(2).shard_size(2);
-    let n = sweep
-        .stream(&session, |_, run| {
+    let n = session
+        .run_streaming(sweep.cases(), |_, run| {
             let records = run.events("freq_events");
             residency.observe(records, 0, 50 * MILLISECOND);
             transitions.observe(records);
@@ -243,8 +232,10 @@ fn trace_reductions_accumulate_over_a_streamed_sweep() {
     // The reductions are worker- and shard-invariant, bit for bit.
     let mut invariant = FreqResidency::new();
     let mut invariant_tr = TransitionStats::new();
-    sweep
-        .stream(&Session::new().workers(7).shard_size(1), |_, run| {
+    Session::new()
+        .workers(7)
+        .shard_size(1)
+        .run_streaming(sweep.cases(), |_, run| {
             let records = run.events("freq_events");
             invariant.observe(records, 0, 50 * MILLISECOND);
             invariant_tr.observe(records);
