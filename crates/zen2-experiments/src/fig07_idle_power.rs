@@ -199,7 +199,7 @@ pub fn run_checkpointed(
     let sweep = sweep(cfg, seed);
     // The all-C2 baseline sits outside the kind × count seed layout
     // (historical seed 999), so it rides along as one extra case
-    // appended to the grid stream, sharing the grid's booted prototype.
+    // appended to the grid stream.
     let baseline_case = zen2_sim::Case::new(
         "fig07/baseline",
         sim_cfg,

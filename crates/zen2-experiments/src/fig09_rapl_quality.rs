@@ -280,8 +280,8 @@ pub fn run_checkpointed(
 ) -> Result<Option<Fig9Result>, CheckpointError> {
     let sweep = sweep(cfg, seed);
     // Idle has no placement/frequency fan-out, so it rides along as one
-    // extra case appended to the grid stream (sharing the grid's booted
-    // prototype) at its historical flat-index seed.
+    // extra case appended to the grid stream at its historical
+    // flat-index seed.
     let (idle_index, _) = flat_job_indices(cfg);
     let idle_case = zen2_sim::Case::new(
         "fig09/idle",

@@ -130,7 +130,7 @@ mod tests {
             "\n",
             r#"{"e":"counter","t":2,"name":"cases.done","delta":1}"#,
             "\n",
-            r#"{"e":"gauge","t":3,"name":"cache.len","value":2.5}"#,
+            r#"{"e":"gauge","t":3,"name":"queue.len","value":2.5}"#,
             "\n",
             r#"{"e":"observe","t":4,"name":"shard.cases","value":64}"#,
             "\n",

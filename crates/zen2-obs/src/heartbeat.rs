@@ -145,7 +145,7 @@ mod tests {
     #[test]
     fn ignores_unrelated_telemetry() {
         let hb = Heartbeat::new();
-        hb.counter("cache.hit", 7);
+        hb.counter("other.counter", 7);
         hb.event("other.event", &[("total", AttrValue::U64(9))]);
         let s = hb.inner.lock().unwrap();
         assert_eq!(s.done, 0);

@@ -90,7 +90,6 @@ fn attr_json(v: AttrValue<'_>) -> Json {
         AttrValue::U64(n) => Json::u64(n),
         AttrValue::F64(x) => Json::f64(x),
         AttrValue::Str(s) => Json::str(s),
-        AttrValue::Bool(b) => Json::Bool(b),
     }
 }
 
@@ -184,7 +183,7 @@ mod tests {
         sink.span_open(SpanId(1), None, "sweep", &[("workers", AttrValue::U64(4))]);
         sink.span_open(SpanId(2), Some(SpanId(1)), "case", &[("label", AttrValue::Str("a\"b"))]);
         sink.counter("cases.done", 1);
-        sink.gauge("cache.len", 2.0);
+        sink.gauge("queue.len", 2.0);
         sink.observe("shard.cases", 64.0);
         sink.event("sweep.total", &[("total", AttrValue::U64(10))]);
         sink.span_close(SpanId(2));

@@ -1,6 +1,6 @@
 //! The in-memory sink: records every telemetry call as an owned value,
-//! for tests that assert on engine behavior (cache hit rates, eviction
-//! counts, span shapes) without touching the filesystem.
+//! for tests that assert on engine behavior (case counts, span shapes)
+//! without touching the filesystem.
 
 use std::sync::Mutex;
 
@@ -15,8 +15,6 @@ pub enum Value {
     F64(f64),
     /// A string.
     Str(String),
-    /// A flag.
-    Bool(bool),
 }
 
 impl Value {
@@ -25,7 +23,6 @@ impl Value {
             AttrValue::U64(n) => Value::U64(n),
             AttrValue::F64(x) => Value::F64(x),
             AttrValue::Str(s) => Value::Str(s.to_string()),
-            AttrValue::Bool(b) => Value::Bool(b),
         }
     }
 }
@@ -115,14 +112,6 @@ impl MemorySink {
             .count()
     }
 
-    /// The last level recorded for gauge `name`, if any.
-    pub fn gauge_last(&self, name: &str) -> Option<f64> {
-        self.records().iter().rev().find_map(|r| match r {
-            Record::Gauge { name: n, value } if *n == name => Some(*value),
-            _ => None,
-        })
-    }
-
     fn push(&self, r: Record) {
         self.records.lock().expect("memory sink poisoned").push(r);
     }
@@ -177,17 +166,15 @@ mod tests {
     fn accumulates_and_summarizes() {
         let sink = MemorySink::new();
         sink.span_open(SpanId(7), None, "case", &[("index", AttrValue::U64(3))]);
-        sink.counter("cache.hit", 2);
-        sink.counter("cache.hit", 3);
-        sink.gauge("cache.len", 1.0);
-        sink.gauge("cache.len", 4.0);
+        sink.counter("cases.done", 2);
+        sink.counter("cases.done", 3);
+        sink.gauge("queue.len", 4.0);
         sink.span_close(SpanId(7));
-        assert_eq!(sink.counter_total("cache.hit"), 5);
-        assert_eq!(sink.counter_total("cache.miss"), 0);
+        assert_eq!(sink.counter_total("cases.done"), 5);
+        assert_eq!(sink.counter_total("other"), 0);
         assert_eq!(sink.span_count("case"), 1);
-        assert_eq!(sink.gauge_last("cache.len"), Some(4.0));
         let records = sink.records();
-        assert_eq!(records.len(), 6);
+        assert_eq!(records.len(), 5);
         assert_eq!(
             records[0],
             Record::SpanOpen {

@@ -194,13 +194,13 @@ mod tests {
         sink.span_open(SpanId(2), Some(SpanId(1)), SPAN_CASE, &[("worker", AttrValue::U64(0))]);
         sink.span_close(SpanId(2));
         sink.span_close(SpanId(1));
-        sink.counter("cache.hit", 3);
-        sink.counter("cache.hit", 2);
-        sink.gauge("cache.len", 4.0);
+        sink.counter("cases.done", 3);
+        sink.counter("cases.done", 2);
+        sink.gauge("queue.len", 4.0);
         sink.observe("shard.cases", 64.0);
         let table = sink.render();
         assert!(table.contains("case"), "span section: {table}");
-        assert!(table.contains("cache.hit"), "counter section: {table}");
+        assert!(table.contains("cases.done"), "counter section: {table}");
         assert!(table.contains("5"), "counter total: {table}");
         assert!(table.contains("worker"), "worker section: {table}");
         assert!(table.contains("shard.cases"), "observed section: {table}");

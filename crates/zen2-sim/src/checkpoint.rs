@@ -741,9 +741,11 @@ impl ShardRange {
     }
 
     /// This shard's case-index range `start..end` of a `total`-case
-    /// run. The `N` shards tile `0..total` exactly.
+    /// run. The `N` shards tile `0..total` exactly. The products are
+    /// taken in `u128`, so no `N` up to `usize::MAX` can overflow them.
     pub fn bounds(&self, total: usize) -> (usize, usize) {
-        (self.index * total / self.of, (self.index + 1) * total / self.of)
+        let at = |i: usize| (i as u128 * total as u128 / self.of as u128) as usize;
+        (at(self.index), at(self.index + 1))
     }
 }
 
@@ -1274,6 +1276,35 @@ mod tests {
                     next = hi;
                 }
                 assert_eq!(next, total, "{of} shards of {total}");
+            }
+        }
+    }
+
+    #[test]
+    fn shard_range_bounds_do_not_overflow_for_huge_partitions() {
+        let last = ShardRange { index: usize::MAX - 1, of: usize::MAX };
+        assert_eq!(last.bounds(82), (81, 82));
+        // A huge partition has too many shards to walk, so check the
+        // tiling case by case instead: the shard owning case k (the
+        // first i with (i + 1) * total / N > k) contains k and abuts its
+        // neighbours, and the end shards reach 0 and total.
+        for of in [usize::MAX, usize::MAX - 1, 1 << 40, 999_999_937] {
+            for total in [1usize, 7, 82, 1000] {
+                let shard = |index: usize| ShardRange { index, of }.bounds(total);
+                assert_eq!(shard(0).0, 0, "{of} shards of {total}");
+                assert_eq!(shard(of - 1).1, total, "{of} shards of {total}");
+                for k in 0..total {
+                    let owner = ((k as u128 + 1) * of as u128).div_ceil(total as u128) - 1;
+                    let index = owner as usize;
+                    let (lo, hi) = shard(index);
+                    assert!(lo <= k && k < hi, "case {k} outside shard {index}/{of} of {total}");
+                    if index > 0 {
+                        assert_eq!(shard(index - 1).1, lo, "gap before shard {index}/{of}");
+                    }
+                    if index + 1 < of {
+                        assert_eq!(shard(index + 1).0, hi, "gap after shard {index}/{of}");
+                    }
+                }
             }
         }
     }

@@ -42,7 +42,7 @@
 //!   and *when*; executing a scenario returns one typed [`Run`].
 //! * [`session`] — a [`Session`] executes `(SimConfig, Scenario, seed)`
 //!   batches across a worker pool with results independent of the worker
-//!   count, reusing one booted prototype per distinct configuration;
+//!   count, booting a fresh machine per case;
 //!   [`Session::run_streaming`] does the same for lazy case streams with
 //!   bounded memory.
 //! * [`sweep`] — a [`Sweep`] declares a parameter grid as [`Axis`] values

@@ -132,8 +132,9 @@ impl System {
 
     /// Forks a pristine booted machine into an identical one reseeded
     /// with `seed`: the result is indistinguishable from
-    /// `System::new(cfg, seed)` but skips the boot cost. Used by
-    /// [`Session`](crate::Session) to amortize booting across a batch.
+    /// `System::new(cfg, seed)`. [`Session`](crate::Session) does not
+    /// use it (a fork costs about what a boot does, so every case
+    /// boots); it stays for callers that time or compare the two.
     ///
     /// # Panics
     /// Panics if this machine is not in its boot state — time advanced,

@@ -272,9 +272,8 @@ fn inverted_windows_are_rejected_for_every_probe_family() {
 
 #[test]
 fn mixed_config_batches_never_share_prototypes_across_configs() {
-    // Prototype reuse is keyed by structural config identity: a batch
-    // mixing two configurations must produce exactly what the same cases
-    // produce when each is booted fresh.
+    // A batch mixing two configurations must produce exactly what the
+    // same cases produce when each is booted fresh and run directly.
     let sc = rich_scenario();
     let two_socket = SimConfig::epyc_7502_2s();
     let mut tweaked = two_socket.clone();
@@ -289,7 +288,7 @@ fn mixed_config_batches_never_share_prototypes_across_configs() {
     let mixed = Session::new().workers(2).run(&batch).unwrap();
     assert_eq!(mixed, fresh_boots(&batch));
     // The two configs genuinely behave differently, so sharing a booted
-    // prototype across them would have been observable.
+    // machine across them would have been observable.
     assert_ne!(mixed[0].measurements, mixed[1].measurements);
 }
 
