@@ -11,7 +11,10 @@
 //! ```
 //!
 //! Stdout carries only the deterministic audit summary, byte-identical
-//! for any `--workers`/`--shard-size` split; throughput and telemetry
+//! for any `--workers`/`--shard-size` split — including a `digest:`
+//! line that hashes every delivered run (pristine, before any injected
+//! fault) in case order, pinned by `tests/golden/torture.txt` for
+//! `--seed 1 --cases 500 --differential`; throughput and telemetry
 //! go to stderr. On a violation the offending case is re-run under
 //! `--workers 1`, shrunk to a minimal scenario, and written to the
 //! `--report` path (default `torture-reproducer.txt`) as a
@@ -22,7 +25,8 @@
 use std::path::PathBuf;
 use zen2_experiments::{session_from_args, ObsCli};
 use zen2_sim::torture::{
-    check_case, generate_case, inject_fault, render_reproducer, shrink_scenario, Fault, Violation,
+    check_case, generate_case, inject_fault, render_reproducer, shrink_scenario, Fault, RunDigest,
+    Violation,
 };
 use zen2_sim::{Case, Run, Scenario, Session, System};
 
@@ -165,11 +169,13 @@ fn main() {
     let start_ns = zen2_obs::clock::now_ns();
     let mut failures: Vec<(u64, Vec<Violation>)> = Vec::new();
     let mut measured = 0usize;
+    let mut digest = RunDigest::default();
     let outcome = session.run_streaming(zen2_sim::torture::cases(cli.seed, cli.cases), |i, run| {
         let index = i as u64;
         // Regeneration is cheap and deterministic, so the sink needs no
         // side channel to know which scenario produced this run.
         let case = generate_case(cli.seed, index);
+        digest.fold(&run);
         let (violations, m) = audit(&cli, index, run, &case);
         measured += m;
         if !violations.is_empty() {
@@ -202,6 +208,7 @@ fn main() {
         "checked: {delivered} runs, {measured} measurements, differential {}",
         if cli.differential { "on" } else { "off" }
     );
+    println!("digest: {:016x}", digest.value());
     match cli.fault {
         Some(fault) => println!("injected: {} fault at case {}", fault.kind(), cli.inject_at),
         None => println!("injected: none"),

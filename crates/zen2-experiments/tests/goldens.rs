@@ -1,6 +1,7 @@
 //! The quick-scale reports are pinned byte for byte: `all` (stdout and
-//! `--json`) and `ablations` must reproduce the files in
-//! `tests/golden/` at the workspace root. A change that moves a result
+//! `--json`), `ablations` and the pinned `torture` soak (whose `digest:`
+//! line hashes every run) must reproduce the files in `tests/golden/`
+//! at the workspace root. A change that moves a result
 //! fails here and must regenerate the golden from the release binary
 //! (e.g. `./target/release/all > tests/golden/all.txt`) and say why.
 
@@ -56,4 +57,10 @@ fn all_report_matches_its_goldens() {
 #[test]
 fn ablations_report_matches_its_golden() {
     assert_golden("ablations.txt", &stdout_of(start(env!("CARGO_BIN_EXE_ablations"), &[])));
+}
+
+#[test]
+fn torture_soak_matches_its_golden() {
+    let args = ["--seed", "1", "--cases", "500", "--differential"];
+    assert_golden("torture.txt", &stdout_of(start(env!("CARGO_BIN_EXE_torture"), &args)));
 }

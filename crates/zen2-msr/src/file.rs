@@ -11,7 +11,6 @@ use crate::address as addr;
 use crate::cstate_addr::CstateBaseAddress;
 use crate::pstate::PstateTable;
 use crate::rapl::RaplUnits;
-use std::collections::HashMap;
 use std::fmt;
 use zen2_topology::{ThreadId, Topology};
 
@@ -50,22 +49,41 @@ impl fmt::Display for MsrError {
 
 impl std::error::Error for MsrError {}
 
-/// The set of registers implemented per hardware thread.
-fn implemented(msr: u32) -> bool {
-    matches!(
-        msr,
-        addr::TSC
-            | addr::MPERF
-            | addr::APERF
-            | addr::HWCR
-            | addr::PSTATE_CUR_LIM
-            | addr::PSTATE_CTL
-            | addr::PSTATE_STAT
-            | addr::CSTATE_BASE_ADDR
-            | addr::RAPL_PWR_UNIT
-            | addr::CORE_ENERGY_STAT
-            | addr::PKG_ENERGY_STAT
-    ) || (addr::PSTATE_DEF_BASE..addr::PSTATE_DEF_BASE + addr::NUM_PSTATE_DEFS).contains(&msr)
+/// Registers each hardware thread implements: 11 fixed registers plus
+/// the P-state definitions.
+const SLOTS: usize = 11 + addr::NUM_PSTATE_DEFS as usize;
+
+/// The storage slot of an implemented register; `None` for every
+/// register this part does not implement. This match is the one place
+/// the implemented register set is defined.
+fn slot(msr: u32) -> Option<usize> {
+    Some(match msr {
+        addr::TSC => 0,
+        addr::MPERF => 1,
+        addr::APERF => 2,
+        addr::HWCR => 3,
+        addr::PSTATE_CUR_LIM => 4,
+        addr::PSTATE_CTL => 5,
+        addr::PSTATE_STAT => 6,
+        addr::CSTATE_BASE_ADDR => 7,
+        addr::RAPL_PWR_UNIT => 8,
+        addr::CORE_ENERGY_STAT => 9,
+        addr::PKG_ENERGY_STAT => 10,
+        _ if (addr::PSTATE_DEF_BASE..addr::PSTATE_DEF_BASE + addr::NUM_PSTATE_DEFS)
+            .contains(&msr) =>
+        {
+            11 + (msr - addr::PSTATE_DEF_BASE) as usize
+        }
+        _ => return None,
+    })
+}
+
+/// The slot of a register the simulator itself touches.
+///
+/// # Panics
+/// Panics on unimplemented registers — a simulator bug.
+fn hw_slot(msr: u32) -> usize {
+    slot(msr).unwrap_or_else(|| panic!("simulator touched unimplemented MSR 0x{msr:08X}"))
 }
 
 /// Registers that reject software writes. P-state definitions are locked on
@@ -84,10 +102,11 @@ fn read_only(msr: u32) -> bool {
     ) || (addr::PSTATE_DEF_BASE..addr::PSTATE_DEF_BASE + addr::NUM_PSTATE_DEFS).contains(&msr)
 }
 
-/// Per-thread MSR storage for a whole machine.
+/// Per-thread MSR storage for a whole machine: one fixed slot per
+/// implemented register, so a copy is a single memcpy.
 #[derive(Debug, Clone)]
 pub struct MsrFile {
-    per_thread: Vec<HashMap<u32, u64>>,
+    per_thread: Vec<[u64; SLOTS]>,
 }
 
 impl MsrFile {
@@ -98,52 +117,42 @@ impl MsrFile {
         Self::with_pstate_table(topology, &PstateTable::epyc_7502())
     }
 
-    /// Initializes with a caller-provided P-state table.
+    /// Initializes with a caller-provided P-state table. Counters,
+    /// `HWCR`, `PStateCtl`/`PStateStat` and the energy registers reset
+    /// to 0.
     pub fn with_pstate_table(topology: &Topology, table: &PstateTable) -> Self {
-        let mut template: HashMap<u32, u64> = HashMap::new();
-        template.insert(addr::TSC, 0);
-        template.insert(addr::MPERF, 0);
-        template.insert(addr::APERF, 0);
-        template.insert(addr::HWCR, 0);
-        template.insert(addr::PSTATE_CUR_LIM, table.cur_lim_register());
-        template.insert(addr::PSTATE_CTL, 0);
-        template.insert(addr::PSTATE_STAT, 0);
-        template.insert(addr::CSTATE_BASE_ADDR, CstateBaseAddress::rome_default().encode());
-        template.insert(addr::RAPL_PWR_UNIT, RaplUnits::amd_default().encode());
-        template.insert(addr::CORE_ENERGY_STAT, 0);
-        template.insert(addr::PKG_ENERGY_STAT, 0);
+        let mut template = [0u64; SLOTS];
+        let mut set = |msr, value| template[hw_slot(msr)] = value;
+        set(addr::PSTATE_CUR_LIM, table.cur_lim_register());
+        set(addr::CSTATE_BASE_ADDR, CstateBaseAddress::rome_default().encode());
+        set(addr::RAPL_PWR_UNIT, RaplUnits::amd_default().encode());
         for i in 0..addr::NUM_PSTATE_DEFS {
-            let raw = table.get(i as usize).map(|d| d.encode()).unwrap_or(0);
-            template.insert(addr::pstate_def(i), raw);
+            set(addr::pstate_def(i), table.get(i as usize).map(|d| d.encode()).unwrap_or(0));
         }
         Self { per_thread: vec![template; topology.num_threads()] }
     }
 
-    fn regs(&self, thread: ThreadId) -> Result<&HashMap<u32, u64>, MsrError> {
+    fn regs(&self, thread: ThreadId) -> Result<&[u64; SLOTS], MsrError> {
         self.per_thread.get(thread.index()).ok_or(MsrError::NoSuchCpu { thread: thread.0 })
     }
 
-    fn regs_mut(&mut self, thread: ThreadId) -> Result<&mut HashMap<u32, u64>, MsrError> {
+    fn regs_mut(&mut self, thread: ThreadId) -> Result<&mut [u64; SLOTS], MsrError> {
         self.per_thread.get_mut(thread.index()).ok_or(MsrError::NoSuchCpu { thread: thread.0 })
     }
 
     /// Software read (rdmsr through the msr module).
     pub fn read(&self, thread: ThreadId, msr: u32) -> Result<u64, MsrError> {
-        if !implemented(msr) {
-            return Err(MsrError::GeneralProtectionFault { msr });
-        }
-        Ok(*self.regs(thread)?.get(&msr).expect("implemented registers are populated"))
+        let slot = slot(msr).ok_or(MsrError::GeneralProtectionFault { msr })?;
+        Ok(self.regs(thread)?[slot])
     }
 
     /// Software write (wrmsr through the msr module).
     pub fn write(&mut self, thread: ThreadId, msr: u32, value: u64) -> Result<(), MsrError> {
-        if !implemented(msr) {
-            return Err(MsrError::GeneralProtectionFault { msr });
-        }
+        let slot = slot(msr).ok_or(MsrError::GeneralProtectionFault { msr })?;
         if read_only(msr) {
             return Err(MsrError::ReadOnly { msr });
         }
-        self.regs_mut(thread)?.insert(msr, value);
+        self.regs_mut(thread)?[slot] = value;
         Ok(())
     }
 
@@ -153,8 +162,7 @@ impl MsrFile {
     /// Panics on unknown threads or unimplemented registers — those are
     /// simulator bugs, not recoverable software errors.
     pub fn poke(&mut self, thread: ThreadId, msr: u32, value: u64) {
-        assert!(implemented(msr), "simulator poked unimplemented MSR 0x{msr:08X}");
-        self.per_thread[thread.index()].insert(msr, value);
+        self.per_thread[thread.index()][hw_slot(msr)] = value;
     }
 
     /// Hardware-side read without access checks.
@@ -162,8 +170,7 @@ impl MsrFile {
     /// # Panics
     /// Panics on unknown threads or unimplemented registers.
     pub fn peek(&self, thread: ThreadId, msr: u32) -> u64 {
-        assert!(implemented(msr), "simulator peeked unimplemented MSR 0x{msr:08X}");
-        self.per_thread[thread.index()][&msr]
+        self.per_thread[thread.index()][hw_slot(msr)]
     }
 
     /// Adds a counter increment to a hardware-owned register (TSC, APERF,

@@ -124,6 +124,11 @@ pub const SPAN_CHECKPOINT: &str = "checkpoint";
 /// Cases delivered (streaming) or completed (materialized).
 pub const CTR_CASES_DONE: &str = "cases.done";
 
+/// Whole-machine power evaluations per case, boot included
+/// ([`System::power_evals`](crate::System::power_evals)): deterministic
+/// simulator work, so totals match across worker/shard splits.
+pub const CTR_POWER_EVALS: &str = "sim.power_evals";
+
 /// Shard sizes actually pulled (the tail shard is usually short).
 pub const OBS_SHARD_CASES: &str = "shard.cases";
 

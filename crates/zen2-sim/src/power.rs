@@ -8,7 +8,7 @@
 
 use crate::config::SimConfig;
 use crate::cstate::{classify_core, CoreIdleClass, ThreadState};
-use zen2_isa::{KernelClass, OperandWeight, SmtMode};
+use zen2_isa::{KernelClass, OperandWeight, SmtMode, WorkloadSet};
 use zen2_mem::ClockPlan;
 
 /// A full power evaluation of one machine state.
@@ -50,30 +50,34 @@ pub struct MachineState<'a> {
     pub est_noise_w: &'a [f64],
 }
 
-/// Evaluates the power of a machine state.
-pub fn evaluate(cfg: &SimConfig, state: &MachineState<'_>) -> PowerBreakdown {
+/// Which packages are awake (out of PC6) in a scheduling state: under
+/// the global package-C6 criterion every package wakes when any thread
+/// blocks PC6, under the per-package ablation only that thread's own.
+pub(crate) fn package_awake(cfg: &SimConfig, thread_states: &[ThreadState]) -> Vec<bool> {
     let topo = &cfg.topology;
-    let kernels = zen2_isa::WorkloadSet::paper();
+    let offline_c1 = cfg.os.offline_parks_in_c1;
+    let blocks = |t: &ThreadState| !t.allows_package_c6(offline_c1);
+    if cfg.global_package_c6 {
+        vec![thread_states.iter().any(blocks); topo.num_sockets()]
+    } else {
+        let per_pkg = topo.cores_per_socket() * topo.threads_per_core();
+        thread_states.chunks(per_pkg).map(|pkg| pkg.iter().any(blocks)).collect()
+    }
+}
+
+/// Evaluates the power of a machine state with the machine's kernel
+/// table.
+pub fn evaluate(
+    cfg: &SimConfig,
+    kernels: &WorkloadSet,
+    state: &MachineState<'_>,
+) -> PowerBreakdown {
+    let topo = &cfg.topology;
     let num_cores = topo.num_cores();
     let num_pkgs = topo.num_sockets();
     let tpc = topo.threads_per_core();
-
-    // Global package-C6 criterion (or per-package ablation).
     let offline_c1 = cfg.os.offline_parks_in_c1;
-    let mut pkg_awake = vec![false; num_pkgs];
-    if cfg.global_package_c6 {
-        let any_blocker = state.thread_states.iter().any(|t| !t.allows_package_c6(offline_c1));
-        for awake in pkg_awake.iter_mut() {
-            *awake = any_blocker;
-        }
-    } else {
-        for (pkg, awake) in pkg_awake.iter_mut().enumerate() {
-            let base = pkg * topo.cores_per_socket() * tpc;
-            let end = base + topo.cores_per_socket() * tpc;
-            *awake =
-                state.thread_states[base..end].iter().any(|t| !t.allows_package_c6(offline_c1));
-        }
-    }
+    let pkg_awake = package_awake(cfg, state.thread_states);
 
     let mut core_true_w = vec![0.0; num_cores];
     let mut core_est_w = vec![0.0; num_cores];
@@ -194,7 +198,7 @@ mod tests {
             die_temp_c: &vec![68.0; pkgs],
             est_noise_w: &vec![0.0; cores],
         };
-        evaluate(cfg, &state)
+        evaluate(cfg, &WorkloadSet::paper(), &state)
     }
 
     #[test]

@@ -677,6 +677,13 @@ impl System {
     /// obligations and window *ends* first (measurements close before the
     /// machine changes), then scheduled actions, then window *starts*
     /// (measurements open on the post-action state).
+    ///
+    /// The actions at one timestamp apply as one batch: each Op changes
+    /// machine state in insertion order (frequency requests reach the
+    /// SMU in that order, at that time), then clocks and power re-resolve
+    /// once. `Preheat` and `Tracing` read the power breakdown, so the
+    /// batch so far resolves before each of them. The result equals
+    /// applying the same Ops one by one through the `set_*` methods.
     pub fn run_scenario(&mut self, scenario: &Scenario) -> Result<Run, ScenarioError> {
         scenario.validate_with(self.config(), self.scheduling_snapshot())?;
         Ok(self.run_scenario_prechecked(scenario))
@@ -828,24 +835,28 @@ impl System {
                 *state = ProbeState::Done(done);
             }
 
-            // 3. Scheduled actions due now (insertion order within the tick).
+            // 3. Scheduled actions due now (insertion order within the
+            // tick), applied as one batch: each Op mutates state, and
+            // clocks and power re-resolve once. Preheat and Tracing read
+            // the power breakdown, so the batch so far resolves first.
+            let mut staged = false;
             while let Some(step) = ordered_steps.get(step_cursor).filter(|s| s.at == t) {
                 step_cursor += 1;
+                let reads_breakdown = matches!(step.op, Op::Preheat | Op::Tracing(_));
+                if reads_breakdown && std::mem::take(&mut staged) {
+                    self.update_clocks_and_power();
+                }
                 match step.op {
-                    Op::Workload { thread, class, weight } => {
-                        self.set_workload(thread, class, weight)
-                    }
-                    Op::Idle { thread } => self.set_idle(thread),
-                    Op::PstateMhz { thread, mhz } => {
-                        let _ = self.set_thread_pstate_mhz(thread, mhz);
-                    }
-                    Op::CstateEnabled { thread, level, enabled } => {
-                        self.set_cstate_enabled(thread, level, enabled)
-                    }
-                    Op::Online { thread, online } => self.set_online(thread, online),
                     Op::Preheat => self.preheat(),
                     Op::Tracing(enabled) => self.set_tracing(enabled),
+                    ref op => {
+                        self.stage_op(op);
+                        staged = true;
+                    }
                 }
+            }
+            if staged {
+                self.update_clocks_and_power();
             }
 
             // 4. Window starts due now open on the post-action state.

@@ -460,6 +460,7 @@ fn pool_outcomes(
                     let sim_span = obs.open(case_span, obs::SPAN_SIM, &[]);
                     let run = execute(&mut sys, case);
                     obs.close(sim_span);
+                    obs.counter(obs::CTR_POWER_EVALS, sys.power_evals());
                     run
                 }))
                 .map_err(|payload| panic_text(payload.as_ref()));

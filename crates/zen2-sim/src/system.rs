@@ -7,6 +7,7 @@ use crate::cstate::ThreadState;
 use crate::os::IdleConfig;
 use crate::perf::ThreadCounters;
 use crate::power::{self, MachineState, PowerBreakdown};
+use crate::scenario::Op;
 use crate::smu::{PendingTransition, Smu};
 use crate::time::{next_boundary, to_secs, Ns, MILLISECOND};
 use crate::trace::{Event, Tracer};
@@ -59,6 +60,8 @@ pub struct System {
     trace: Vec<(Ns, f64)>,
     /// Event recorder (disabled by default).
     tracer: Tracer,
+    /// Whole-machine power evaluations since boot (a work counter).
+    power_evals: u64,
 }
 
 impl System {
@@ -116,6 +119,7 @@ impl System {
             ac_energy_j: 0.0,
             trace: Vec::new(),
             tracer: Tracer::new(),
+            power_evals: 0,
             cfg,
         };
         sys.reevaluate_power();
@@ -132,9 +136,11 @@ impl System {
 
     /// Forks a pristine booted machine into an identical one reseeded
     /// with `seed`: the result is indistinguishable from
-    /// `System::new(cfg, seed)`. [`Session`](crate::Session) does not
-    /// use it (a fork costs about what a boot does, so every case
-    /// boots); it stays for callers that time or compare the two.
+    /// `System::new(cfg, seed)`. A fork costs about half a boot (p50
+    /// 2.7–3.1 µs against 6.1–6.5 µs in traced `perfbench` micro-grid
+    /// runs on a 2-vCPU host), but [`Session`](crate::Session) still
+    /// boots every case, so there is one way to get a machine; this
+    /// stays for callers that time or compare the two.
     ///
     /// # Panics
     /// Panics if this machine is not in its boot state — time advanced,
@@ -268,10 +274,81 @@ impl System {
         &self.tracer
     }
 
+    /// Whole-machine power evaluations since boot (a boot makes two).
+    /// Deterministic, so tests can pin the work a scenario costs.
+    pub fn power_evals(&self) -> u64 {
+        self.power_evals
+    }
+
     // ---- OS-level controls ------------------------------------------------
+    //
+    // Each control is a state mutation (`stage_*`) followed by one
+    // re-resolve of clocks and power. A scenario breakpoint stages every
+    // Op due at that instant and re-resolves once (see
+    // `run_scenario`); these public setters re-resolve immediately.
 
     /// Schedules a workload on a hardware thread (pins it to C0).
     pub fn set_workload(&mut self, thread: ThreadId, class: KernelClass, weight: OperandWeight) {
+        self.stage_workload(thread, class, weight);
+        self.update_clocks_and_power();
+    }
+
+    /// Removes the workload: the thread idles into its deepest enabled
+    /// C-state.
+    pub fn set_idle(&mut self, thread: ThreadId) {
+        self.stage_idle(thread);
+        self.update_clocks_and_power();
+    }
+
+    /// Enables/disables an idle state for one thread (sysfs
+    /// `cpuidle/stateN/disable`). Re-settles the thread if it is idle.
+    pub fn set_cstate_enabled(&mut self, thread: ThreadId, level: u8, enabled: bool) {
+        self.stage_cstate_enabled(thread, level, enabled);
+        self.update_clocks_and_power();
+    }
+
+    /// Hotplugs a thread (sysfs `online`). Offlining parks the thread per
+    /// the configured kernel behavior (Section VI-B anomaly); onlining
+    /// returns it to the idle path.
+    pub fn set_online(&mut self, thread: ThreadId, online: bool) {
+        self.stage_online(thread, online);
+        self.update_clocks_and_power();
+    }
+
+    /// Sets the userspace-governor frequency request of one hardware
+    /// thread. The core's DVFS request is the maximum over both siblings
+    /// — including idle and offline ones (Section V-A). Returns the SMU
+    /// transition this triggered, if any.
+    pub fn set_thread_pstate_mhz(
+        &mut self,
+        thread: ThreadId,
+        mhz: u32,
+    ) -> Option<PendingTransition> {
+        let pending = self.stage_thread_pstate_mhz(thread, mhz);
+        self.update_clocks_and_power();
+        pending
+    }
+
+    /// Applies one scheduling or frequency Op's state change without
+    /// re-resolving clocks and power; `update_clocks_and_power` settles
+    /// the batch. `Preheat` and `Tracing` read the power breakdown, so
+    /// they are not stageable.
+    pub(crate) fn stage_op(&mut self, op: &Op) {
+        match *op {
+            Op::Workload { thread, class, weight } => self.stage_workload(thread, class, weight),
+            Op::Idle { thread } => self.stage_idle(thread),
+            Op::PstateMhz { thread, mhz } => {
+                let _ = self.stage_thread_pstate_mhz(thread, mhz);
+            }
+            Op::CstateEnabled { thread, level, enabled } => {
+                self.stage_cstate_enabled(thread, level, enabled)
+            }
+            Op::Online { thread, online } => self.stage_online(thread, online),
+            Op::Preheat | Op::Tracing(_) => unreachable!("{op:?} reads the breakdown"),
+        }
+    }
+
+    fn stage_workload(&mut self, thread: ThreadId, class: KernelClass, weight: OperandWeight) {
         assert!(
             self.thread_states[thread.index()] != ThreadState::Offline,
             "cannot schedule on an offline thread"
@@ -280,12 +357,9 @@ impl System {
         self.workloads[thread.index()] = Some((class, weight));
         self.resample_noise(thread);
         self.trace_thread_state(thread);
-        self.apply_state_change();
     }
 
-    /// Removes the workload: the thread idles into its deepest enabled
-    /// C-state.
-    pub fn set_idle(&mut self, thread: ThreadId) {
+    fn stage_idle(&mut self, thread: ThreadId) {
         if self.thread_states[thread.index()] == ThreadState::Offline {
             return;
         }
@@ -297,12 +371,9 @@ impl System {
         }
         self.resample_noise(thread);
         self.trace_thread_state(thread);
-        self.apply_state_change();
     }
 
-    /// Enables/disables an idle state for one thread (sysfs
-    /// `cpuidle/stateN/disable`). Re-settles the thread if it is idle.
-    pub fn set_cstate_enabled(&mut self, thread: ThreadId, level: u8, enabled: bool) {
+    fn stage_cstate_enabled(&mut self, thread: ThreadId, level: u8, enabled: bool) {
         match level {
             1 => self.idle_cfg[thread.index()].c1_enabled = enabled,
             2 => self.idle_cfg[thread.index()].c2_enabled = enabled,
@@ -316,13 +387,10 @@ impl System {
                 self.workloads[thread.index()] = Some((KernelClass::Poll, OperandWeight::HALF));
             }
         }
-        self.apply_state_change();
+        self.trace_package_sleep();
     }
 
-    /// Hotplugs a thread (sysfs `online`). Offlining parks the thread per
-    /// the configured kernel behavior (Section VI-B anomaly); onlining
-    /// returns it to the idle path.
-    pub fn set_online(&mut self, thread: ThreadId, online: bool) {
+    fn stage_online(&mut self, thread: ThreadId, online: bool) {
         if online {
             if self.thread_states[thread.index()] == ThreadState::Offline {
                 self.thread_states[thread.index()] =
@@ -333,36 +401,22 @@ impl System {
             self.thread_states[thread.index()] = ThreadState::Offline;
         }
         self.trace_thread_state(thread);
-        self.apply_state_change();
     }
 
-    /// Sets the userspace-governor frequency request of one hardware
-    /// thread. The core's DVFS request is the maximum over both siblings
-    /// — including idle and offline ones (Section V-A). Returns the SMU
-    /// transition this triggered, if any.
-    pub fn set_thread_pstate_mhz(
-        &mut self,
-        thread: ThreadId,
-        mhz: u32,
-    ) -> Option<PendingTransition> {
-        assert!(
-            self.cfg.pstates.index_of_frequency(mhz).is_some(),
-            "{mhz} MHz is not a defined P-state"
-        );
+    /// Records the request and submits the thread's core target to the
+    /// SMU — the only core whose target can move. Every other core
+    /// already holds `min(max sibling request, cap)`: requests change
+    /// only here, and caps only in `run_for_ns`, which re-resolves
+    /// every core.
+    fn stage_thread_pstate_mhz(&mut self, thread: ThreadId, mhz: u32) -> Option<PendingTransition> {
+        let index = self.cfg.pstates.index_of_frequency(mhz);
+        let index = index.unwrap_or_else(|| panic!("{mhz} MHz is not a defined P-state"));
         self.pstate_req_mhz[thread.index()] = mhz;
-        self.msrs.poke(
-            thread,
-            address::PSTATE_CTL,
-            self.cfg.pstates.index_of_frequency(mhz).expect("checked above") as u64,
-        );
-        self.tracer.record(
-            self.now,
-            Event::FreqRequested { core: self.cfg.topology.core_of(thread), target_mhz: mhz },
-        );
-        let pending = self.resolve_dvfs();
-        self.update_clocks_and_power();
+        self.msrs.poke(thread, address::PSTATE_CTL, index as u64);
         let core = self.cfg.topology.core_of(thread);
-        pending.into_iter().find(|(c, _)| *c == core.index()).map(|(_, p)| p)
+        self.tracer.record(self.now, Event::FreqRequested { core, target_mhz: mhz });
+        let target = self.core_target_mhz(core.index());
+        self.smu.request(self.now, core.index(), target)
     }
 
     // ---- time advancement --------------------------------------------------
@@ -487,8 +541,15 @@ impl System {
     /// True mean AC power over a past interval (no instrument noise).
     pub fn trace_mean_w(&self, from: Ns, to: Ns) -> f64 {
         assert!(from < to && to <= self.now, "invalid trace window");
+        // Only segments overlapping [from, to) add a term, so starting
+        // at the last one to begin by `from` and stopping at the first
+        // to begin at `to` keeps the sum bit-identical to a full scan.
+        let first = self.trace.partition_point(|&(t, _)| t <= from).saturating_sub(1);
         let mut energy = 0.0;
-        for (idx, &(seg_start, watts)) in self.trace.iter().enumerate() {
+        for (idx, &(seg_start, watts)) in self.trace.iter().enumerate().skip(first) {
+            if seg_start >= to {
+                break;
+            }
             let seg_end = self.trace.get(idx + 1).map(|&(t, _)| t).unwrap_or(self.now);
             let lo = seg_start.max(from);
             let hi = seg_end.min(to);
@@ -589,29 +650,39 @@ impl System {
         self.est_noise_w[core] = sigma * z;
     }
 
-    /// Re-resolves every core's DVFS target; returns triggered transitions.
-    fn resolve_dvfs(&mut self) -> Vec<(usize, PendingTransition)> {
+    /// A core's DVFS target: the max request over its hardware threads
+    /// (Section V-A: whether idle, offline or active), capped by its
+    /// package's PPT controller.
+    fn core_target_mhz(&self, core: usize) -> u32 {
         let tpc = self.cfg.topology.threads_per_core();
-        let mut out = Vec::new();
-        for core in 0..self.cfg.topology.num_cores() {
-            let base = core * tpc;
-            // Section V-A: the request is the max over both hardware
-            // threads, whether idle, offline or active.
-            let req = self.pstate_req_mhz[base..base + tpc]
-                .iter()
-                .copied()
-                .max()
-                .expect("cores have threads");
-            let pkg = self.cfg.topology.socket_of_core(CoreId::from_index(core)).index();
-            let target = req.min(self.controllers[pkg].cap_mhz());
-            if let Some(p) = self.smu.request(self.now, core, target) {
-                out.push((core, p));
-            }
-        }
-        out
+        let base = core * tpc;
+        let req = self.pstate_req_mhz[base..base + tpc]
+            .iter()
+            .copied()
+            .max()
+            .expect("cores have threads");
+        let pkg = self.cfg.topology.socket_of_core(CoreId::from_index(core)).index();
+        req.min(self.controllers[pkg].cap_mhz())
     }
 
-    fn update_clocks_and_power(&mut self) {
+    /// Re-submits every core's DVFS target after the controller caps
+    /// moved.
+    fn resolve_dvfs(&mut self) {
+        for core in 0..self.cfg.topology.num_cores() {
+            let target = self.core_target_mhz(core);
+            self.smu.request(self.now, core, target);
+        }
+    }
+
+    /// Re-resolves every core's clocks and P-state status, then power:
+    /// once per Op through the `set_*` methods, once per batch of staged
+    /// Ops.
+    pub(crate) fn update_clocks_and_power(&mut self) {
+        debug_assert!(
+            (0..self.smu.num_cores())
+                .all(|core| self.smu.core(core).target_mhz() == self.core_target_mhz(core)),
+            "a core's SMU target lags its requests"
+        );
         let topo = self.cfg.topology.clone();
         let tpc = topo.threads_per_core();
         for ccx in topo.all_ccxs() {
@@ -654,20 +725,12 @@ impl System {
             die_temp_c: &self.die_temp_c,
             est_noise_w: &self.est_noise_w,
         };
-        let breakdown = power::evaluate(&self.cfg, &state);
-        if self.tracer.is_enabled() {
-            for pkg in 0..breakdown.pkg_awake.len() {
-                if breakdown.pkg_awake[pkg] != self.breakdown.pkg_awake[pkg] {
-                    self.tracer.record(
-                        self.now,
-                        Event::PackageSleep {
-                            socket: SocketId(pkg as u32),
-                            asleep: !breakdown.pkg_awake[pkg],
-                        },
-                    );
-                }
-            }
-        }
+        let breakdown = power::evaluate(&self.cfg, &self.kernels, &state);
+        self.power_evals += 1;
+        debug_assert!(
+            !self.tracer.is_enabled() || breakdown.pkg_awake == self.breakdown.pkg_awake,
+            "package sleep changes are traced when the thread state changes"
+        );
         let changed = (breakdown.ac_w - self.breakdown.ac_w).abs() > 1e-9;
         self.breakdown = breakdown;
         if changed || self.trace.is_empty() {
@@ -675,12 +738,28 @@ impl System {
         }
     }
 
-    fn apply_state_change(&mut self) {
-        self.resolve_dvfs();
-        self.update_clocks_and_power();
+    /// Records package sleep-state changes the moment a thread's state
+    /// changes, so an instant's Ops trace the same records in the same
+    /// order whether they resolve one by one or as a batch. Package
+    /// sleep depends on thread states alone.
+    fn trace_package_sleep(&mut self) {
+        if !self.tracer.is_enabled() {
+            return;
+        }
+        let awake = power::package_awake(&self.cfg, &self.thread_states);
+        for (pkg, (&now, &before)) in awake.iter().zip(&self.breakdown.pkg_awake).enumerate() {
+            if now != before {
+                self.tracer.record(
+                    self.now,
+                    Event::PackageSleep { socket: SocketId(pkg as u32), asleep: !now },
+                );
+            }
+        }
+        self.breakdown.pkg_awake = awake;
     }
 
-    /// Records a thread's current scheduling state into the event trace.
+    /// Records a thread's current scheduling state, and any package
+    /// sleep change it causes, into the event trace.
     fn trace_thread_state(&mut self, thread: ThreadId) {
         if !self.tracer.is_enabled() {
             return;
@@ -692,6 +771,7 @@ impl System {
             ThreadState::Offline => "offline",
         };
         self.tracer.record(self.now, Event::ThreadState { thread, state: label });
+        self.trace_package_sleep();
     }
 
     /// Integrates counters, energy and temperature over a constant-state
@@ -887,6 +967,57 @@ mod tests {
         sys.run_for_secs(0.3);
         let busy_mean = sys.trace_mean_w(t0, sys.now_ns());
         assert!(busy_mean > idle_mean + 50.0, "busy {busy_mean:.0} vs idle {idle_mean:.0}");
+    }
+
+    /// The whole-trace scan `trace_mean_w` replaced, kept as its
+    /// reference.
+    fn linear_trace_mean_w(trace: &[(Ns, f64)], now: Ns, from: Ns, to: Ns) -> f64 {
+        let mut energy = 0.0;
+        for (idx, &(seg_start, watts)) in trace.iter().enumerate() {
+            let seg_end = trace.get(idx + 1).map(|&(t, _)| t).unwrap_or(now);
+            let (lo, hi) = (seg_start.max(from), seg_end.min(to));
+            if hi > lo {
+                energy += watts * to_secs(hi - lo);
+            }
+        }
+        energy / to_secs(to - from)
+    }
+
+    #[test]
+    fn windowed_trace_mean_matches_a_full_scan_bit_for_bit() {
+        let mut rng = ChaCha8Rng::seed_from_u64(7);
+        for _ in 0..50 {
+            let mut sys = boot();
+            // A random trace with repeated (zero-length) instants.
+            let mut t = 0;
+            sys.trace.clear();
+            for _ in 0..rng.gen_range(1..40usize) {
+                sys.trace.push((t, rng.gen_range(90.0..500.0)));
+                if rng.gen_bool(0.7) {
+                    t += rng.gen_range(1..5_000u64);
+                }
+            }
+            sys.now = t + rng.gen_range(1..5_000u64);
+            let edges: Vec<Ns> = sys.trace.iter().map(|&(t, _)| t).chain([0, sys.now]).collect();
+            for _ in 0..200 {
+                // Window ends on segment edges half the time.
+                let pick = |rng: &mut ChaCha8Rng| {
+                    if rng.gen_bool(0.5) {
+                        edges[rng.gen_range(0..edges.len())]
+                    } else {
+                        rng.gen_range(0..=sys.now)
+                    }
+                };
+                let (a, b) = (pick(&mut rng), pick(&mut rng));
+                if a == b {
+                    continue;
+                }
+                let (from, to) = (a.min(b), a.max(b));
+                let fast = sys.trace_mean_w(from, to);
+                let slow = linear_trace_mean_w(&sys.trace, sys.now, from, to);
+                assert_eq!(fast.to_bits(), slow.to_bits(), "[{from}, {to}) over {:?}", sys.trace);
+            }
+        }
     }
 
     #[test]

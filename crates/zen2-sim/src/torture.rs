@@ -1175,6 +1175,139 @@ pub fn render_reproducer(
     out
 }
 
+// ---- run digest --------------------------------------------------------------
+
+/// An FNV-1a digest over [`Run`]s folded in case order: every field of
+/// every measurement, floats by their bit patterns. The soak bin prints
+/// it so a committed golden pins the simulator's results bit for bit,
+/// not only the audit verdicts.
+#[derive(Debug, Clone, Copy)]
+pub struct RunDigest(u64);
+
+impl Default for RunDigest {
+    fn default() -> Self {
+        Self(0xCBF2_9CE4_8422_2325) // FNV offset basis
+    }
+}
+
+impl RunDigest {
+    /// The digest so far.
+    pub fn value(&self) -> u64 {
+        self.0
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+
+    fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    fn f64(&mut self, v: f64) {
+        self.u64(v.to_bits());
+    }
+
+    fn counters(&mut self, c: &crate::perf::ThreadCounters) {
+        for v in [c.tsc, c.aperf, c.mperf, c.cycles, c.instructions] {
+            self.f64(v);
+        }
+    }
+
+    /// Folds one run: seed, end time, final power and every
+    /// `(label, measurement)` pair in declaration order.
+    pub fn fold(&mut self, run: &Run) {
+        self.u64(run.seed);
+        self.u64(run.end_ns);
+        self.f64(run.final_ac_w);
+        for (label, m) in &run.measurements {
+            self.u64(label.len() as u64);
+            self.bytes(label.as_bytes());
+            match m {
+                Measurement::Watts(v) => self.tagged(0, &[*v]),
+                Measurement::WattsPair { pkg_w, core_w } => self.tagged(1, &[*pkg_w, *core_w]),
+                Measurement::Samples(samples) => {
+                    self.u64(2);
+                    self.u64(samples.len() as u64);
+                    for s in samples {
+                        self.f64(s.t_s);
+                        self.f64(s.watts);
+                    }
+                }
+                Measurement::CounterDelta { begin, end, wall_s } => {
+                    self.u64(3);
+                    self.counters(begin);
+                    self.counters(end);
+                    self.f64(*wall_s);
+                }
+                Measurement::CounterSeries(snaps) => {
+                    self.u64(4);
+                    self.u64(snaps.len() as u64);
+                    for c in snaps {
+                        self.counters(c);
+                    }
+                }
+                Measurement::DurationsNs(v) => {
+                    self.u64(5);
+                    self.u64(v.len() as u64);
+                    v.iter().for_each(|&x| self.f64(x));
+                }
+                Measurement::Ghz(v) => self.tagged(6, &[*v]),
+                Measurement::Joules(v) => self.tagged(7, &[*v]),
+                Measurement::Nanos(v) => self.tagged(8, &[*v]),
+                Measurement::GigabytesPerSec(v) => self.tagged(9, &[*v]),
+                Measurement::Events(records) => {
+                    self.u64(10);
+                    self.u64(records.len() as u64);
+                    for r in records {
+                        self.record(r);
+                    }
+                }
+            }
+        }
+    }
+
+    fn tagged(&mut self, tag: u64, values: &[f64]) {
+        self.u64(tag);
+        values.iter().for_each(|&v| self.f64(v));
+    }
+
+    fn record(&mut self, r: &Record) {
+        self.u64(r.at_ns);
+        match r.event {
+            Event::FreqRequested { core, target_mhz } => {
+                self.u64(0);
+                self.u64(core.0 as u64);
+                self.u64(target_mhz as u64);
+            }
+            Event::FreqApplied { core, mhz, fast_path } => {
+                self.u64(1);
+                self.u64(core.0 as u64);
+                self.u64(mhz as u64);
+                self.u64(fast_path as u64);
+            }
+            Event::ThreadState { thread, state } => {
+                self.u64(2);
+                self.u64(thread.0 as u64);
+                self.bytes(state.as_bytes());
+            }
+            Event::PackageSleep { socket, asleep } => {
+                self.u64(3);
+                self.u64(socket.0 as u64);
+                self.u64(asleep as u64);
+            }
+            Event::CapChanged { socket, cap_mhz } => {
+                self.u64(4);
+                self.u64(socket.0 as u64);
+                self.u64(cap_mhz as u64);
+            }
+        }
+    }
+}
+
 // ---- invalid proposals -----------------------------------------------------
 
 /// Number of distinct invalid timelines [`invalid_proposal`] can build —

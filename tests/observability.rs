@@ -2,16 +2,23 @@
 //! facade + `zen2-obs` sinks): attaching the full sink stack to a
 //! session cannot change any result, the JSONL trace it writes is
 //! well-formed, and the spans and counters it reports reflect real
-//! engine behavior — one boot per case in particular.
+//! engine behavior — one boot per case and the simulator's power
+//! evaluations in particular.
 
 use std::fs;
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use zen2_ee::prelude::*;
+use zen2_experiments::fig07_idle_power::{self, Config};
+use zen2_experiments::Scale;
 use zen2_obs::{Heartbeat, JsonlSink, MemorySink, Multi, Record, SummarySink};
-use zen2_sim::obs::{CTR_CASES_DONE, SPAN_BOOT, SPAN_CASE, SPAN_FORK, SPAN_SHARD, SPAN_SWEEP};
-use zen2_sim::time::MICROSECOND;
+use zen2_sim::obs::{
+    CTR_CASES_DONE, CTR_POWER_EVALS, SPAN_BOOT, SPAN_CASE, SPAN_FORK, SPAN_SHARD, SPAN_SWEEP,
+};
+use zen2_sim::time::{MICROSECOND, MILLISECOND};
+use zen2_sim::torture::rebuild;
+use zen2_sim::Op;
 
 /// A 10 × 8 grid: load levels × reps, one instantaneous power read per
 /// case — the same shape the sweep-engine acceptance tests use.
@@ -166,4 +173,49 @@ fn every_case_boots_its_own_machine_under_mixed_config_sweeps() {
     assert_eq!(sink.span_count(SPAN_SWEEP), 1);
     assert_eq!(sink.span_count(SPAN_SHARD), 8);
     assert_eq!(sink.span_count(SPAN_CASE), 16);
+}
+
+#[test]
+fn a_fig7_breakpoint_costs_one_power_evaluation_and_totals_ignore_the_split() {
+    let fig7 = fig07_idle_power::sweep(&Config::new(Scale::Quick), 7);
+    let full = fig7
+        .cases()
+        .find(|c| {
+            let steps = c.scenario.steps();
+            steps.len() == 384
+                && steps.iter().any(|s| matches!(s.op, Op::PstateMhz { mhz: 2500, .. }))
+        })
+        .expect("the 2.5 GHz active-pause case at 128 threads");
+    // Its t = 0 breakpoint: two sibling P-state requests and a pause
+    // loop for each of 128 threads, 384 Ops resolved as one batch.
+    assert!(full.scenario.steps().iter().all(|s| s.at == 0));
+    let mut sys = System::new(full.config.clone(), full.seed);
+    assert_eq!(sys.power_evals(), 2, "a boot evaluates twice");
+    sys.run_scenario(&rebuild(full.scenario.steps(), &[], 0)).expect("valid");
+    assert_eq!(sys.power_evals(), 3, "one evaluation for the whole breakpoint");
+
+    // The engine forwards each case's count; the totals are the sum of
+    // the per-case counts under any worker/shard split. Cases stop at
+    // 5 ms to keep the test quick.
+    let cases: Vec<Case> = fig7
+        .cases()
+        .map(|c| {
+            let scenario = rebuild(c.scenario.steps(), &[], 5 * MILLISECOND);
+            Case::new(c.label.clone(), c.config.clone(), scenario, c.seed)
+        })
+        .collect();
+    let expected: u64 = cases
+        .iter()
+        .map(|c| {
+            let mut sys = System::new(c.config.clone(), c.seed);
+            sys.run_scenario(&c.scenario).expect("valid");
+            sys.power_evals()
+        })
+        .sum();
+    for (workers, shard) in [(1usize, 1usize), (2, 5), (3, 64)] {
+        let sink = Arc::new(MemorySink::new());
+        let session = Session::new().workers(workers).shard_size(shard).recorder(sink.clone());
+        session.run_streaming(cases.clone(), |_, _| {}).expect("cases validate");
+        assert_eq!(sink.counter_total(CTR_POWER_EVALS), expected, "{workers}w/{shard}s");
+    }
 }
