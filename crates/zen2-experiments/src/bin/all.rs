@@ -1,293 +1,13 @@
-//! Runs every experiment and prints the full paper-vs-measured report.
-//! Pass `--paper` for the paper's full sample counts (slow); `--json`
-//! emits every experiment's summary tables as one machine-readable
-//! JSON array (text mode still prints each report as it completes).
+//! Runs every experiment and prints the full paper-vs-measured report,
+//! each section as it finishes (`--json`: one array of every summary
+//! table at the end). Flags: `zen2_experiments::cli`.
 //!
-//! `--checkpoint <prefix>` / `--resume` make the wide-grid experiments
-//! interruptible: each keeps its own file (`<prefix>-fig06`,
-//! `<prefix>-fig09`, …), so a killed `--paper` suite resumed with the
-//! same flags re-runs only the unfinished grid and re-emits the
-//! finished ones from their checkpoints (see `docs/SWEEPS.md`; the
-//! single-binary testing aid `--halt-after` is not supported here).
-//!
-//! `--progress` prints a per-experiment banner plus heartbeat lines
-//! (`done/total … cases/s … eta`) on stderr, so a long `--paper` run is
-//! never silent; `--obs <path>` additionally writes one shared JSONL
-//! telemetry trace covering every sweep and prints an aggregate summary
-//! table at the end (see `docs/OBSERVABILITY.md`). Neither flag can
-//! change results.
-use zen2_experiments as e;
-use zen2_experiments::report::{tables_to_json, Table};
-use zen2_experiments::{session_from_args, CheckpointCli, ObsCli, Scale};
-use zen2_isa::KernelClass;
-use zen2_sim::CheckpointError;
-
-/// Unwraps a checkpointed experiment's outcome: `all` never passes
-/// `--halt-after` through, so the result is present unless the
-/// checkpoint itself failed.
-fn checkpointed<R>(name: &str, outcome: Result<Option<R>, CheckpointError>) -> R {
-    match outcome {
-        Ok(Some(result)) => result,
-        Ok(None) => unreachable!("`all` does not propagate --halt-after"),
-        Err(error) => {
-            eprintln!("all: {name}: {error}");
-            std::process::exit(1);
-        }
-    }
-}
-
-/// The `--shard-range` counterpart of [`checkpointed`]: a shard run
-/// only feeds its range checkpoint, so the result is usually absent and
-/// only checkpoint failures matter.
-fn sharded<R>(name: &str, outcome: Result<Option<R>, CheckpointError>) {
-    if let Err(error) = outcome {
-        eprintln!("all: {name}: {error}");
-        std::process::exit(1);
-    }
-}
-
+//! `--checkpoint <prefix>` keeps one file per wide grid
+//! (`<prefix>-fig06`, `<prefix>-fig09`, …), so a killed `--paper` suite
+//! resumed with the same flags re-runs only the unfinished grid and
+//! re-emits the finished ones from their checkpoints (see
+//! `docs/SWEEPS.md`). `--shard-range` folds only the grids' slice for
+//! `zen2-fleet`. `--progress` announces each section on stderr.
 fn main() {
-    let scale = Scale::from_args();
-    let json = std::env::args().any(|a| a == "--json");
-    let usage = |message: String| -> ! {
-        eprintln!("all: {message}");
-        std::process::exit(2);
-    };
-    let ckpt = CheckpointCli::from_args().unwrap_or_else(|m| usage(m));
-    let obs = ObsCli::from_args().unwrap_or_else(|m| usage(m));
-    let mut session = session_from_args().unwrap_or_else(|m| usage(m));
-    let stack = obs.stack().unwrap_or_else(|m| usage(m));
-    if let Some(stack) = &stack {
-        session = stack.attach(session);
-    }
-    // With --progress a long suite is never silent: each experiment
-    // announces itself on stderr, and the wide grids stream heartbeat
-    // lines through the shared sink stack while they run.
-    let announce = |name: &str| {
-        if obs.progress {
-            eprintln!("all: running {name}");
-        }
-    };
-    // Fleet mode: a `--shard-range` run folds only the wide grids' slice
-    // of cases into their range checkpoints and stops — no narrow
-    // experiments, no report. `zen2-fleet` merges the shards and re-runs
-    // `all` (without a shard) to emit the full suite.
-    if let Some(shard) = ckpt.shard {
-        announce("tab1");
-        sharded(
-            "tab1",
-            e::tab1_mixed_freq::run_checkpointed(
-                &e::tab1_mixed_freq::Config::new(scale),
-                2,
-                &session,
-                &ckpt.spec_for("tab1"),
-            ),
-        );
-        announce("fig06");
-        sharded(
-            "fig06",
-            e::fig06_firestarter::run_checkpointed(
-                &e::fig06_firestarter::Config::new(scale),
-                5,
-                &session,
-                &ckpt.spec_for("fig06"),
-            ),
-        );
-        announce("fig07");
-        sharded(
-            "fig07",
-            e::fig07_idle_power::run_checkpointed(
-                &e::fig07_idle_power::Config::new(scale),
-                6,
-                &session,
-                &ckpt.spec_for("fig07"),
-            ),
-        );
-        announce("fig09");
-        sharded(
-            "fig09",
-            e::fig09_rapl_quality::run_checkpointed(
-                &e::fig09_rapl_quality::Config::new(scale),
-                8,
-                &session,
-                &ckpt.spec_for("fig09"),
-            ),
-        );
-        let f10 = e::fig10_hamming::Config::new(scale);
-        announce("fig10-vxorps");
-        sharded(
-            "fig10-vxorps",
-            e::fig10_hamming::run_checkpointed(
-                &f10,
-                9,
-                KernelClass::VXorps,
-                &session,
-                &ckpt.spec_for("fig10-vxorps"),
-            ),
-        );
-        announce("fig10-shr");
-        sharded(
-            "fig10-shr",
-            e::fig10_hamming::run_checkpointed(
-                &f10,
-                10,
-                KernelClass::Shr,
-                &session,
-                &ckpt.spec_for("fig10-shr"),
-            ),
-        );
-        announce("ext_manycore");
-        sharded(
-            "ext_manycore",
-            e::ext_manycore::run_checkpointed(
-                &e::ext_manycore::Config::new(scale),
-                14,
-                &session,
-                &ckpt.spec_for("ext_manycore"),
-            ),
-        );
-        if let Some(stack) = &stack {
-            if let Err(message) = stack.finish() {
-                eprintln!("all: {message}");
-                std::process::exit(1);
-            }
-        }
-        eprintln!(
-            "all: shard {shard} of the wide grids done; merge the range \
-             checkpoints (zen2-fleet) to produce the report"
-        );
-        return;
-    }
-    // In text mode each experiment's report prints as soon as it
-    // finishes (a --paper run takes a while); --json collects every
-    // table and emits one array at the end.
-    let mut tables: Vec<Table> = Vec::new();
-    let mut emit = |text: String, mut experiment_tables: Vec<Table>| {
-        if json {
-            tables.append(&mut experiment_tables);
-        } else {
-            print!("{text}");
-        }
-    };
-
-    if !json {
-        println!("=== zen2-ee: full experiment suite ({scale:?} scale) ===\n");
-    }
-    announce("fig01");
-    let fig01 = e::fig01_green500::run();
-    emit(e::fig01_green500::render(&fig01), e::fig01_green500::tables(&fig01));
-    announce("fig03");
-    let fig03 = e::fig03_transition::run(&e::fig03_transition::Config::fig3(scale), 1);
-    emit(e::fig03_transition::render(&fig03), e::fig03_transition::tables(&fig03));
-    announce("tab1");
-    let tab1 = checkpointed(
-        "tab1",
-        e::tab1_mixed_freq::run_checkpointed(
-            &e::tab1_mixed_freq::Config::new(scale),
-            2,
-            &session,
-            &ckpt.spec_for("tab1"),
-        ),
-    );
-    emit(e::tab1_mixed_freq::render(&tab1), e::tab1_mixed_freq::tables(&tab1));
-    announce("fig04");
-    let fig04 = e::fig04_l3_latency::run(&e::fig04_l3_latency::Config::new(scale), 3);
-    emit(e::fig04_l3_latency::render(&fig04), e::fig04_l3_latency::tables(&fig04));
-    announce("fig05");
-    let fig05 = e::fig05_membw::run(4);
-    emit(e::fig05_membw::render(&fig05), e::fig05_membw::tables(&fig05));
-    announce("fig06");
-    let fig06 = checkpointed(
-        "fig06",
-        e::fig06_firestarter::run_checkpointed(
-            &e::fig06_firestarter::Config::new(scale),
-            5,
-            &session,
-            &ckpt.spec_for("fig06"),
-        ),
-    );
-    emit(e::fig06_firestarter::render(&fig06), e::fig06_firestarter::tables(&fig06));
-    announce("fig07");
-    let fig07 = checkpointed(
-        "fig07",
-        e::fig07_idle_power::run_checkpointed(
-            &e::fig07_idle_power::Config::new(scale),
-            6,
-            &session,
-            &ckpt.spec_for("fig07"),
-        ),
-    );
-    emit(e::fig07_idle_power::render(&fig07), e::fig07_idle_power::tables(&fig07));
-    announce("fig08");
-    let fig08 = e::fig08_wakeup::run(&e::fig08_wakeup::Config::new(scale), 7);
-    emit(e::fig08_wakeup::render(&fig08), e::fig08_wakeup::tables(&fig08));
-    announce("fig09");
-    let fig09 = checkpointed(
-        "fig09",
-        e::fig09_rapl_quality::run_checkpointed(
-            &e::fig09_rapl_quality::Config::new(scale),
-            8,
-            &session,
-            &ckpt.spec_for("fig09"),
-        ),
-    );
-    emit(e::fig09_rapl_quality::render(&fig09), e::fig09_rapl_quality::tables(&fig09));
-    let f10 = e::fig10_hamming::Config::new(scale);
-    announce("fig10-vxorps");
-    let fig10_vxorps = checkpointed(
-        "fig10-vxorps",
-        e::fig10_hamming::run_checkpointed(
-            &f10,
-            9,
-            KernelClass::VXorps,
-            &session,
-            &ckpt.spec_for("fig10-vxorps"),
-        ),
-    );
-    emit(e::fig10_hamming::render(&fig10_vxorps), e::fig10_hamming::tables(&fig10_vxorps));
-    announce("fig10-shr");
-    let fig10_shr = checkpointed(
-        "fig10-shr",
-        e::fig10_hamming::run_checkpointed(
-            &f10,
-            10,
-            KernelClass::Shr,
-            &session,
-            &ckpt.spec_for("fig10-shr"),
-        ),
-    );
-    emit(e::fig10_hamming::render(&fig10_shr), e::fig10_hamming::tables(&fig10_shr));
-    announce("sec5a");
-    let sec5a = e::sec5a_sibling::run(11);
-    emit(e::sec5a_sibling::render(&sec5a), e::sec5a_sibling::tables(&sec5a));
-    announce("sec6b");
-    let sec6b = e::sec6b_offline::run(12);
-    emit(e::sec6b_offline::render(&sec6b), e::sec6b_offline::tables(&sec6b));
-    announce("sec7");
-    let sec7 = e::sec7_update_rate::run(&e::sec7_update_rate::Config::default(), 13);
-    emit(e::sec7_update_rate::render(&sec7), e::sec7_update_rate::tables(&sec7));
-    announce("ext_manycore");
-    let manycore = checkpointed(
-        "ext_manycore",
-        e::ext_manycore::run_checkpointed(
-            &e::ext_manycore::Config::new(scale),
-            14,
-            &session,
-            &ckpt.spec_for("ext_manycore"),
-        ),
-    );
-    emit(e::ext_manycore::render(&manycore), e::ext_manycore::tables(&manycore));
-    announce("ext_cstate_breakeven");
-    let breakeven = e::ext_cstate_breakeven::run(15);
-    emit(e::ext_cstate_breakeven::render(&breakeven), e::ext_cstate_breakeven::tables(&breakeven));
-
-    if let Some(stack) = &stack {
-        if let Err(message) = stack.finish() {
-            eprintln!("all: {message}");
-            std::process::exit(1);
-        }
-    }
-    if json {
-        println!("{}", tables_to_json(&tables));
-    }
+    zen2_experiments::cli::main(zen2_experiments::ALL);
 }

@@ -1,7 +1,5 @@
-//! Prints the informed C-state break-even analysis (extension).
-//! `--json` emits the summary tables as machine-readable JSON.
-use zen2_experiments::{ext_cstate_breakeven as exp, report};
+//! Prints the informed C-state break-even analysis (extension). Flags:
+//! `zen2_experiments::cli`.
 fn main() {
-    let r = exp::run(0xB4EA);
-    report::emit(|| exp::render(&r), || exp::tables(&r));
+    zen2_experiments::cli::main("ext_breakeven");
 }

@@ -1,16 +1,5 @@
-//! Runs the many-core throttling prediction (paper SS VIII future work)
-//! through the streaming sweep engine. `--json` emits the summary
-//! tables as machine-readable JSON; `--checkpoint <path>` / `--resume`
-//! make the grid interruptible (see `docs/SWEEPS.md`); `--obs <path>` /
-//! `--progress` stream telemetry and live progress without affecting
-//! results (see `docs/OBSERVABILITY.md`).
-use zen2_experiments::{ext_manycore as exp, run_checkpointed_bin, Scale};
+//! Runs the many-core throttling prediction (paper §VIII future work)
+//! through the streaming sweep engine. Flags: `zen2_experiments::cli`.
 fn main() {
-    let cfg = exp::Config::new(Scale::from_args());
-    run_checkpointed_bin(
-        "ext_manycore",
-        |session, spec| exp::run_checkpointed(&cfg, 0xE87, session, spec),
-        exp::render,
-        exp::tables,
-    );
+    zen2_experiments::cli::main("ext_manycore");
 }

@@ -1,40 +1,5 @@
-//! Regenerates Fig. 3 (transition-delay histogram) and the §V-B anomaly.
-//! `--paper` runs the full 100 000 samples; `--anomaly` adds the
-//! 2.2↔2.5 GHz sweeps; `--json` emits the summary tables as
-//! machine-readable JSON.
-use zen2_experiments::fig03_transition as exp;
-use zen2_experiments::{report, Scale};
-
+//! Regenerates Fig. 3 (transition-delay histogram); `--anomaly` adds
+//! the §V-B 2.2↔2.5 GHz sweeps. Flags: `zen2_experiments::cli`.
 fn main() {
-    let scale = Scale::from_args();
-    let anomaly = std::env::args().any(|a| a == "--anomaly");
-    let r = exp::run(&exp::Config::fig3(scale), 0xF163);
-    let extra = anomaly.then(|| {
-        (
-            exp::run(&exp::Config::anomaly(scale), 0xF163A),
-            exp::run(&exp::Config::anomaly_long_waits(scale), 0xF163B),
-        )
-    });
-    report::emit(
-        || {
-            let mut out = exp::render(&r);
-            if let Some((fast, control)) = &extra {
-                out.push_str("\n--- SS V-B anomaly: 2.5 <-> 2.2 GHz, waits 0-10 ms ---\n");
-                out.push_str(&exp::render(fast));
-                out.push_str(
-                    "\n--- SS V-B anomaly control: waits >= 5 ms (effect must vanish) ---\n",
-                );
-                out.push_str(&exp::render(control));
-            }
-            out
-        },
-        || {
-            let mut tables = exp::tables(&r);
-            if let Some((fast, control)) = &extra {
-                tables.extend(exp::tables(fast));
-                tables.extend(exp::tables(control));
-            }
-            tables
-        },
-    );
+    zen2_experiments::cli::main("fig03");
 }

@@ -1,7 +1,5 @@
-//! Regenerates Fig. 4 (L3 latency under mixed frequencies).
-//! `--json` emits the summary tables as machine-readable JSON.
-use zen2_experiments::{fig04_l3_latency as exp, report, Scale};
+//! Regenerates Fig. 4 (L3 latency under mixed frequencies). Flags:
+//! `zen2_experiments::cli`.
 fn main() {
-    let r = exp::run(&exp::Config::new(Scale::from_args()), 0xF164);
-    report::emit(|| exp::render(&r), || exp::tables(&r));
+    zen2_experiments::cli::main("fig04");
 }

@@ -1,7 +1,5 @@
 //! Regenerates Fig. 5 (I/O-die P-state and DRAM frequency sweep).
-//! `--json` emits the summary tables as machine-readable JSON.
-use zen2_experiments::{fig05_membw as exp, report};
+//! Flags: `zen2_experiments::cli`.
 fn main() {
-    let r = exp::run(0xF165);
-    report::emit(|| exp::render(&r), || exp::tables(&r));
+    zen2_experiments::cli::main("fig05");
 }

@@ -1,16 +1,5 @@
 //! Regenerates Fig. 6 (FIRESTARTER throttling with and without SMT)
-//! through the streaming sweep engine. `--json` emits the summary
-//! tables as machine-readable JSON; `--checkpoint <path>` / `--resume`
-//! make the grid interruptible (see `docs/SWEEPS.md`); `--obs <path>` /
-//! `--progress` stream telemetry and live progress without affecting
-//! results (see `docs/OBSERVABILITY.md`).
-use zen2_experiments::{fig06_firestarter as exp, run_checkpointed_bin, Scale};
+//! through the streaming sweep engine. Flags: `zen2_experiments::cli`.
 fn main() {
-    let cfg = exp::Config::new(Scale::from_args());
-    run_checkpointed_bin(
-        "fig06",
-        |session, spec| exp::run_checkpointed(&cfg, 0xF166, session, spec),
-        exp::render,
-        exp::tables,
-    );
+    zen2_experiments::cli::main("fig06");
 }

@@ -1,16 +1,5 @@
 //! Regenerates Fig. 9 (RAPL quality vs the AC reference) through the
-//! streaming sweep engine. `--json` emits the scatter table as
-//! machine-readable JSON; `--checkpoint <path>` / `--resume` make the
-//! grid interruptible (see `docs/SWEEPS.md`); `--obs <path>` /
-//! `--progress` stream telemetry and live progress without affecting
-//! results (see `docs/OBSERVABILITY.md`).
-use zen2_experiments::{fig09_rapl_quality as exp, run_checkpointed_bin, Scale};
+//! streaming sweep engine. Flags: `zen2_experiments::cli`.
 fn main() {
-    let cfg = exp::Config::new(Scale::from_args());
-    run_checkpointed_bin(
-        "fig09",
-        |session, spec| exp::run_checkpointed(&cfg, 0xF169, session, spec),
-        exp::render,
-        exp::tables,
-    );
+    zen2_experiments::cli::main("fig09");
 }

@@ -1,7 +1,5 @@
-//! Regenerates the §VII RAPL update-rate measurement.
-//! `--json` emits the summary tables as machine-readable JSON.
-use zen2_experiments::{report, sec7_update_rate as exp};
+//! Regenerates the §VII RAPL update-rate measurement. Flags:
+//! `zen2_experiments::cli`.
 fn main() {
-    let r = exp::run(&exp::Config::default(), 0x5EC7);
-    report::emit(|| exp::render(&r), || exp::tables(&r));
+    zen2_experiments::cli::main("sec7");
 }

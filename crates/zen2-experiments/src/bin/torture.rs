@@ -23,7 +23,7 @@
 //! drill exactly that pipeline. See `docs/TORTURE.md`.
 
 use std::path::PathBuf;
-use zen2_experiments::{session_from_args, ObsCli};
+use zen2_experiments::cli::{value, Accepts, Args};
 use zen2_sim::torture::{
     check_case, generate_case, inject_fault, render_reproducer, shrink_scenario, Fault, RunDigest,
     Violation,
@@ -49,7 +49,9 @@ fn usage(message: &str) -> ! {
     std::process::exit(2);
 }
 
-fn parse_cli() -> Cli {
+/// Parses the soak's own flags, and the session flags through the
+/// shared [`Args`] parse.
+fn parse_cli() -> (Cli, Args) {
     let mut cli = Cli {
         seed: 1,
         cases: 1000,
@@ -58,48 +60,38 @@ fn parse_cli() -> Cli {
         fault: None,
         inject_at: 0,
     };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value =
-            |flag: &str| args.next().unwrap_or_else(|| usage(&format!("{flag} needs a value")));
-        match arg.as_str() {
+    let args = Args::parse_with(Accepts::SESSION, std::env::args().skip(1), |flag, rest| {
+        match flag {
             "--seed" => {
-                let v = value("--seed");
-                cli.seed =
-                    v.parse().unwrap_or_else(|_| usage(&format!("--seed {v:?}: not a number")));
+                let v = value(rest, flag)?;
+                cli.seed = v.parse().map_err(|_| format!("--seed {v:?}: not a number"))?;
             }
             "--cases" => {
-                let v = value("--cases");
-                cli.cases =
-                    v.parse().unwrap_or_else(|_| usage(&format!("--cases {v:?}: not a count")));
+                let v = value(rest, flag)?;
+                cli.cases = v.parse().map_err(|_| format!("--cases {v:?}: not a count"))?;
             }
             "--differential" => cli.differential = true,
-            "--report" => cli.report = PathBuf::from(value("--report")),
+            "--report" => cli.report = PathBuf::from(value(rest, flag)?),
             "--inject-fault" => {
-                let v = value("--inject-fault");
-                cli.fault = Some(Fault::parse(&v).unwrap_or_else(|| {
-                    usage(&format!("--inject-fault {v:?}: expected residency, trace, or power"))
-                }));
+                let v = value(rest, flag)?;
+                cli.fault = Some(Fault::parse(&v).ok_or_else(|| {
+                    format!("--inject-fault {v:?}: expected residency, trace, or power")
+                })?);
             }
             "--inject-at" => {
-                let v = value("--inject-at");
-                cli.inject_at = v
-                    .parse()
-                    .unwrap_or_else(|_| usage(&format!("--inject-at {v:?}: not an index")));
+                let v = value(rest, flag)?;
+                cli.inject_at =
+                    v.parse().map_err(|_| format!("--inject-at {v:?}: not an index"))?;
             }
-            // Shared session/observability flags are parsed by their own
-            // helpers; anything else is a typo worth stopping on.
-            "--workers" | "--shard-size" | "--obs" => {
-                let _ = value(&arg);
-            }
-            "--progress" => {}
-            other => usage(&format!("unknown flag {other:?}")),
+            _ => return Ok(false),
         }
-    }
+        Ok(true)
+    })
+    .unwrap_or_else(|message| usage(&message));
     if cli.fault.is_some() && cli.inject_at >= cli.cases {
         usage("--inject-at must be below --cases");
     }
-    cli
+    (cli, args)
 }
 
 /// One case's audit: invariant check (on the possibly tampered run)
@@ -158,13 +150,8 @@ fn reproduce(cli: &Cli, index: u64, violations: &[Violation]) -> String {
 }
 
 fn main() {
-    let cli = parse_cli();
-    let obs = ObsCli::from_args().unwrap_or_else(|message| usage(&message));
-    let mut session = session_from_args().unwrap_or_else(|message| usage(&message));
-    let stack = obs.stack().unwrap_or_else(|message| usage(&message));
-    if let Some(stack) = &stack {
-        session = stack.attach(session);
-    }
+    let (cli, args) = parse_cli();
+    let (session, stack) = args.session().unwrap_or_else(|message| usage(&message));
 
     let start_ns = zen2_obs::clock::now_ns();
     let mut failures: Vec<(u64, Vec<Violation>)> = Vec::new();

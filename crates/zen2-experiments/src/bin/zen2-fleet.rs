@@ -10,40 +10,39 @@
 //! so the fleet's stdout is byte-identical to a single-process run of
 //! the same bin (see `docs/SWEEPS.md` § Fleet runs).
 //!
-//! Supported targets are the seven checkpoint-carrying bins: `fig06`,
-//! `fig07`, `fig09`, `fig10`, `tab1`, `ext_manycore`, and `all` (whose
-//! shard mode folds only the wide grids; the narrow experiments re-run
-//! deterministically in the re-emit pass). `--drill-kill <i>` aborts
-//! shard `i`'s first attempt after one checkpoint save — a fault drill
-//! for the retry path; it needs a target whose bin forwards
-//! `--halt-after` (the single-grid bins; `fig10` and `all` drop it).
+//! Supported targets are the binaries of `zen2_experiments::EXPERIMENTS`
+//! whose sections carry a grid, plus `all` (whose shard mode folds only
+//! the wide grids; the narrow experiments re-run deterministically in
+//! the re-emit pass). `--drill-kill <i>` aborts shard `i`'s first
+//! attempt after one checkpoint save — a fault drill for the retry
+//! path; it needs a target that honours `--halt-after` (a binary with
+//! exactly one grid; `fig10` and `all` reject it).
 use std::io::BufRead;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, ExitStatus, Stdio};
 use std::thread::JoinHandle;
+use zen2_experiments::cli::path_with_suffix;
+use zen2_experiments::{bins, can_halt, sections, ALL};
 use zen2_sim::{Checkpoint, ShardRange};
 
-const USAGE: &str = "usage: zen2-fleet --bin <fig06|fig07|fig09|fig10|tab1|ext_manycore|all> \
--n <shards> --checkpoint <prefix> [--paper] [--json] [--workers N] [--shard-size N] \
-[--progress] [--retries K] [--drill-kill <shard>]";
+/// The fleet's targets: every binary with a checkpointable grid, in
+/// table order, then `all`.
+fn targets() -> Vec<&'static str> {
+    bins().chain([ALL]).filter(|bin| sections(bin).any(|e| e.grid.is_some())).collect()
+}
 
-/// Checkpoint-file suffixes each target bin appends to its
-/// `--checkpoint` argument: one file per wide grid it runs.
-fn suffixes(bin: &str) -> Option<&'static [&'static str]> {
-    match bin {
-        "fig06" | "fig07" | "fig09" | "tab1" | "ext_manycore" => Some(&[""]),
-        "fig10" => Some(&["-vxorps", "-shr"]),
-        "all" => Some(&[
-            "-tab1",
-            "-fig06",
-            "-fig07",
-            "-fig09",
-            "-fig10-vxorps",
-            "-fig10-shr",
-            "-ext_manycore",
-        ]),
-        _ => None,
-    }
+fn usage() -> String {
+    format!(
+        "usage: zen2-fleet --bin <{}> -n <shards> --checkpoint <prefix> [--paper] [--json] \
+         [--workers N] [--shard-size N] [--progress] [--retries K] [--drill-kill <shard>]",
+        targets().join("|")
+    )
+}
+
+/// Checkpoint-file suffixes `bin` appends to its `--checkpoint`
+/// argument: one file per wide grid it runs.
+fn suffixes(bin: &str) -> Vec<String> {
+    sections(bin).filter_map(|e| e.suffix(bin)).collect()
 }
 
 #[derive(Debug, PartialEq)]
@@ -75,7 +74,7 @@ impl FleetCli {
         let mut args = args;
         while let Some(arg) = args.next() {
             let mut value = |flag: &str| -> Result<String, String> {
-                args.next().ok_or_else(|| format!("{flag} needs a value\n{USAGE}"))
+                args.next().ok_or_else(|| format!("{flag} needs a value\n{}", usage()))
             };
             match arg.as_str() {
                 "--bin" => bin = Some(value("--bin")?),
@@ -106,22 +105,28 @@ impl FleetCli {
                             .map_err(|_| format!("--drill-kill wants a shard index, got {i:?}"))?,
                     );
                 }
-                other => return Err(format!("unknown flag {other:?}\n{USAGE}")),
+                other => return Err(format!("unknown flag {other:?}\n{}", usage())),
             }
         }
-        let bin = bin.ok_or_else(|| format!("--bin is required\n{USAGE}"))?;
-        if suffixes(&bin).is_none() {
+        let bin = bin.ok_or_else(|| format!("--bin is required\n{}", usage()))?;
+        if !targets().contains(&bin.as_str()) {
             return Err(format!(
-                "--bin {bin:?} has no wide grid to shard; pick one of \
-                 fig06, fig07, fig09, fig10, tab1, ext_manycore, all"
+                "--bin {bin:?} has no wide grid to shard; pick one of {}",
+                targets().join(", ")
             ));
         }
-        let shards = shards.ok_or_else(|| format!("-n <shards> is required\n{USAGE}"))?;
+        let shards = shards.ok_or_else(|| format!("-n <shards> is required\n{}", usage()))?;
         let checkpoint =
-            checkpoint.ok_or_else(|| format!("--checkpoint <prefix> is required\n{USAGE}"))?;
+            checkpoint.ok_or_else(|| format!("--checkpoint <prefix> is required\n{}", usage()))?;
         if let Some(kill) = drill_kill {
             if kill >= shards {
                 return Err(format!("--drill-kill {kill} is outside the {shards}-shard fleet"));
+            }
+            if !can_halt(&bin) {
+                return Err(format!(
+                    "--drill-kill needs a target that halts mid-grid, and {bin} cannot halt: \
+                     it runs several grids and rejects --halt-after"
+                ));
             }
         }
         Ok(FleetCli {
@@ -147,14 +152,6 @@ impl FleetCli {
     fn merged_base(&self) -> PathBuf {
         path_with_suffix(&self.checkpoint, ".merged")
     }
-}
-
-/// Appends `suffix` to the final path component (the bins do the same
-/// when they add their per-grid suffixes).
-fn path_with_suffix(base: &Path, suffix: &str) -> PathBuf {
-    let mut name = base.file_name().map(|n| n.to_os_string()).unwrap_or_default();
-    name.push(suffix);
-    base.with_file_name(name)
 }
 
 /// Locates the target bin next to the running coordinator — both live
@@ -224,8 +221,8 @@ fn spawn_shard(cli: &FleetCli, exe: &Path, shard: usize, attempt: usize) -> Resu
 /// pass is the final authority on total coverage.
 fn shard_is_complete(cli: &FleetCli, shard: usize) -> Result<bool, String> {
     let range = ShardRange { index: shard, of: cli.shards };
-    for suffix in suffixes(&cli.bin).expect("bin was validated") {
-        let path = path_with_suffix(&cli.shard_base(shard), suffix);
+    for suffix in suffixes(&cli.bin) {
+        let path = path_with_suffix(&cli.shard_base(shard), &suffix);
         if !path.exists() {
             continue;
         }
@@ -289,10 +286,10 @@ fn run_fleet(cli: &FleetCli, exe: &Path) -> Result<(), String> {
 fn merge_shards(cli: &FleetCli) -> Result<(), String> {
     let started = zen2_obs::clock::now_ns();
     let mut files = 0usize;
-    for suffix in suffixes(&cli.bin).expect("bin was validated") {
+    for suffix in suffixes(&cli.bin) {
         let mut merged: Option<Checkpoint> = None;
         for shard in 0..cli.shards {
-            let path = path_with_suffix(&cli.shard_base(shard), suffix);
+            let path = path_with_suffix(&cli.shard_base(shard), &suffix);
             if !path.exists() {
                 continue; // empty slice of a small grid
             }
@@ -314,7 +311,7 @@ fn merge_shards(cli: &FleetCli) -> Result<(), String> {
                 merged.total()
             ));
         }
-        let out = path_with_suffix(&cli.merged_base(), suffix);
+        let out = path_with_suffix(&cli.merged_base(), &suffix);
         merged.save(&out).map_err(|e| format!("{}: {e}", out.display()))?;
     }
     eprintln!(
@@ -412,6 +409,14 @@ mod tests {
                 &["--bin", "fig09", "-n", "2", "--checkpoint", "x", "--frobnicate"][..],
                 "unknown flag",
             ),
+            (
+                &["--bin", "fig10", "-n", "2", "--checkpoint", "x", "--drill-kill", "0"][..],
+                "cannot halt",
+            ),
+            (
+                &["--bin", "all", "-n", "2", "--checkpoint", "x", "--drill-kill", "1"][..],
+                "cannot halt",
+            ),
         ] {
             let err = parse(args).unwrap_err();
             assert!(err.contains(needle), "{args:?} -> {err}");
@@ -420,10 +425,14 @@ mod tests {
 
     #[test]
     fn suffix_table_matches_the_bins_checkpoint_layout() {
-        assert_eq!(suffixes("fig09"), Some(&[""][..]));
-        assert_eq!(suffixes("fig10"), Some(&["-vxorps", "-shr"][..]));
-        assert_eq!(suffixes("all").map(<[_]>::len), Some(7));
-        assert_eq!(suffixes("fig03"), None);
+        assert_eq!(suffixes("fig09"), [""]);
+        assert_eq!(suffixes("fig10"), ["-vxorps", "-shr"]);
+        assert_eq!(
+            suffixes("all"),
+            ["-tab1", "-fig06", "-fig07", "-fig09", "-fig10-vxorps", "-fig10-shr", "-ext_manycore"]
+        );
+        assert!(suffixes("fig03").is_empty());
+        assert_eq!(targets(), ["tab1", "fig06", "fig07", "fig09", "fig10", "ext_manycore", "all"]);
         assert_eq!(
             path_with_suffix(&PathBuf::from("/tmp/fleet.shard0"), "-vxorps"),
             PathBuf::from("/tmp/fleet.shard0-vxorps")

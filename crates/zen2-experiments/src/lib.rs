@@ -16,8 +16,12 @@
 //! itself, and results are byte-identical regardless of parallelism.
 //! The wide-grid modules additionally expose a `run_checkpointed`
 //! entry point wired to the uniform `--checkpoint` / `--resume` /
-//! `--halt-after` flags ([`CheckpointCli`]); `docs/SWEEPS.md` documents
+//! `--halt-after` flags ([`cli::Args`]); `docs/SWEEPS.md` documents
 //! that workflow end to end.
+//!
+//! [`EXPERIMENTS`] lists every report section once, in the `all`
+//! report's order; the figure binaries, `all` and `zen2-fleet` are all
+//! driven from it through [`cli::main`].
 //!
 //! | Module | Paper item |
 //! |--------|-----------|
@@ -37,6 +41,7 @@
 //! | [`ext_manycore`]     | §VIII future work — many-core throttling prediction |
 //! | [`ext_cstate_breakeven`] | extension — informed C-state break-even analysis |
 
+pub mod cli;
 pub mod ext_cstate_breakeven;
 pub mod ext_manycore;
 pub mod fig01_green500;
@@ -56,30 +61,21 @@ pub mod sec7_update_rate;
 pub mod seeds;
 pub mod tab1_mixed_freq;
 
-use std::path::PathBuf;
-use std::sync::Arc;
-use zen2_obs::{Heartbeat, JsonlSink, Multi, Recorder, SummarySink};
-use zen2_sim::{CheckpointError, CheckpointSpec, Session, ShardRange};
+use report::Table;
+use zen2_isa::KernelClass;
+use zen2_sim::{CheckpointError, CheckpointSpec, Session};
 
 /// Experiment size: the paper's full parameters or a CI-friendly subset.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Scale {
     /// Reduced sample counts / durations; minutes of total runtime.
+    #[default]
     Quick,
     /// The paper's published parameters.
     Paper,
 }
 
 impl Scale {
-    /// Parses `--paper` / `--quick` style CLI arguments (quick default).
-    pub fn from_args() -> Scale {
-        if std::env::args().any(|a| a == "--paper") {
-            Scale::Paper
-        } else {
-            Scale::Quick
-        }
-    }
-
     /// Picks between the two scale values.
     pub fn pick<T>(self, quick: T, paper: T) -> T {
         match self {
@@ -89,293 +85,199 @@ impl Scale {
     }
 }
 
-/// The uniform checkpoint/resume command-line flags of the wide-grid
-/// binaries (`fig06`, `fig07`, `fig09`, `fig10`, `tab1`, `ext_manycore`,
-/// `all`):
-///
-/// * `--checkpoint <path>` — persist the sweep's accumulators to
-///   `<path>` at every shard boundary (atomic replace; a kill at any
-///   instant leaves a valid checkpoint).
-/// * `--resume` — pick the run back up from the checkpoint at `<path>`
-///   (a missing file starts fresh, so restart scripts are idempotent).
-/// * `--halt-after <n>` — testing aid: halt cleanly after `n`
-///   checkpoint saves, exactly as a kill right after the save would.
-/// * `--shard-range i/N` — fleet mode: run only shard `i` of an
-///   `N`-way contiguous case partition, leaving a range checkpoint for
-///   the coordinator (`zen2-fleet`) to merge. Requires `--checkpoint`
-///   (the shard's only output is its checkpoint file).
-///
-/// `docs/SWEEPS.md` documents the workflow end to end.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct CheckpointCli {
-    /// The `--checkpoint` path, when given.
-    pub path: Option<PathBuf>,
-    /// Whether `--resume` was passed.
-    pub resume: bool,
-    /// The `--halt-after` count, when given.
-    pub halt_after: Option<usize>,
-    /// The `--shard-range` partition slice, when given.
-    pub shard: Option<ShardRange>,
+/// One section's output: the paper-style text and the summary tables
+/// `--json` prints instead.
+#[derive(Debug, Clone)]
+pub struct Report {
+    /// The rendered text report.
+    pub text: String,
+    /// The summary tables.
+    pub tables: Vec<Table>,
 }
 
-impl CheckpointCli {
-    /// Parses the process arguments (ignoring unrelated flags such as
-    /// `--json` and `--paper`).
-    ///
-    /// # Errors
-    /// Errors with a usage message on an incomplete or inconsistent
-    /// flag set.
-    pub fn from_args() -> Result<Self, String> {
-        Self::parse(std::env::args().skip(1))
-    }
+/// What a section's run returns: the report, or `None` when the grid
+/// halted (`--halt-after`) or ran only a `--shard-range` slice.
+pub type Outcome = Result<Option<Report>, CheckpointError>;
 
-    fn parse(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
-        let mut cli = Self::default();
-        let mut args = args.into_iter();
-        while let Some(arg) = args.next() {
-            match arg.as_str() {
-                "--checkpoint" => {
-                    let path = args.next().ok_or("--checkpoint needs a file path")?;
-                    cli.path = Some(PathBuf::from(path));
-                }
-                "--resume" => cli.resume = true,
-                "--halt-after" => {
-                    let n = args.next().ok_or("--halt-after needs a shard count")?;
-                    cli.halt_after =
-                        Some(n.parse().map_err(|_| format!("--halt-after {n:?}: not a count"))?);
-                }
-                "--shard-range" => {
-                    let range = args.next().ok_or("--shard-range needs i/N")?;
-                    cli.shard = Some(ShardRange::parse(&range)?);
-                }
-                _ => {}
-            }
-        }
-        if cli.path.is_none() {
-            if cli.resume {
-                return Err("--resume requires --checkpoint <path>".into());
-            }
-            if cli.halt_after.is_some() {
-                return Err("--halt-after requires --checkpoint <path>".into());
-            }
-            if cli.shard.is_some() {
-                return Err("--shard-range requires --checkpoint <path> — \
-                            a shard's only output is its checkpoint file"
-                    .into());
-            }
-        }
-        Ok(cli)
-    }
+/// How a section runs: scale, seed, session and checkpoint spec in.
+/// Narrow sections ignore the session and the spec.
+pub type RunFn = fn(Scale, u64, &Session, &CheckpointSpec) -> Outcome;
 
-    /// The [`CheckpointSpec`] a single-experiment binary hands its
-    /// `run_checkpointed`.
-    pub fn spec(&self) -> CheckpointSpec {
-        CheckpointSpec {
-            path: self.path.clone(),
-            resume: self.resume,
-            halt_after: self.halt_after,
-            shard: self.shard,
-        }
-    }
+/// One section of the report.
+#[derive(Debug)]
+pub struct Experiment {
+    /// The section name: `all`'s `--progress` banner and checkpoint
+    /// suffix (`-<name>`).
+    pub name: &'static str,
+    /// The binary that prints the section on its own.
+    pub bin: &'static str,
+    /// The seed the section's own binary runs it with.
+    pub seed: u64,
+    /// The seed `all` runs it with.
+    pub all_seed: u64,
+    /// For a section that folds a checkpointable sweep grid, the suffix
+    /// its own binary appends to `--checkpoint`; `None` for a narrow
+    /// section.
+    pub grid: Option<&'static str>,
+    /// Runs the section.
+    pub run: RunFn,
+}
 
-    /// The per-experiment spec the `all` binary derives: the configured
-    /// path with `-<experiment>` appended, so one `--checkpoint` prefix
-    /// yields one file per wide-grid experiment. `--halt-after` is a
-    /// single-binary testing aid and is not propagated.
-    pub fn spec_for(&self, experiment: &str) -> CheckpointSpec {
-        let path = self.path.as_ref().map(|p| {
-            let mut name = p.as_os_str().to_os_string();
-            name.push(format!("-{experiment}"));
-            PathBuf::from(name)
-        });
-        CheckpointSpec { path, resume: self.resume, halt_after: None, shard: self.shard }
+/// The binary that runs every section, in table order.
+pub const ALL: &str = "all";
+
+impl Experiment {
+    /// The checkpoint-file suffix of the section's grid when `bin` (its
+    /// own binary or [`ALL`]) runs it; `None` for a narrow section.
+    pub fn suffix(&self, bin: &str) -> Option<String> {
+        self.grid.map(|own| if bin == ALL { format!("-{}", self.name) } else { own.into() })
     }
 }
 
-/// The uniform observability flags of the wide-grid binaries (the same
-/// set as [`CheckpointCli`], plus `all`):
-///
-/// * `--obs <path>` — write the run's telemetry as a JSONL trace to
-///   `<path>` and print an aggregate summary table (span durations,
-///   cache counters, worker utilization) to stderr at the end.
-/// * `--progress` — print rate-limited `done/total … cases/s … eta`
-///   heartbeat lines to stderr while the sweep runs.
-///
-/// Telemetry is out-of-band by construction: results (stdout, `--json`,
-/// checkpoints) are byte-identical with or without these flags. See
-/// `docs/OBSERVABILITY.md`.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ObsCli {
-    /// The `--obs` trace path, when given.
-    pub obs: Option<PathBuf>,
-    /// Whether `--progress` was passed.
-    pub progress: bool,
+const fn row(
+    name: &'static str,
+    bin: &'static str,
+    seed: u64,
+    all_seed: u64,
+    grid: Option<&'static str>,
+    run: RunFn,
+) -> Experiment {
+    Experiment { name, bin, seed, all_seed, grid, run }
 }
 
-impl ObsCli {
-    /// Parses the process arguments (ignoring unrelated flags).
-    ///
-    /// # Errors
-    /// Errors with a usage message on an incomplete flag.
-    pub fn from_args() -> Result<Self, String> {
-        Self::parse(std::env::args().skip(1))
-    }
-
-    fn parse(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
-        let mut cli = Self::default();
-        let mut args = args.into_iter();
-        while let Some(arg) = args.next() {
-            match arg.as_str() {
-                "--obs" => {
-                    let path = args.next().ok_or("--obs needs a file path")?;
-                    cli.obs = Some(PathBuf::from(path));
-                }
-                "--progress" => cli.progress = true,
-                _ => {}
-            }
-        }
-        Ok(cli)
-    }
-
-    /// Builds the sink stack these flags ask for — `None` when neither
-    /// flag was passed (the session then runs with zero telemetry
-    /// overhead).
-    ///
-    /// # Errors
-    /// Errors when the `--obs` trace file cannot be created.
-    pub fn stack(&self) -> Result<Option<ObsStack>, String> {
-        let mut sinks: Vec<Arc<dyn Recorder>> = Vec::new();
-        let mut jsonl = None;
-        let mut summary = None;
-        if let Some(path) = &self.obs {
-            let sink = Arc::new(
-                JsonlSink::create(path).map_err(|e| format!("--obs {}: {e}", path.display()))?,
-            );
-            sinks.push(sink.clone());
-            jsonl = Some(sink);
-            let agg = Arc::new(SummarySink::new());
-            sinks.push(agg.clone());
-            summary = Some(agg);
-        }
-        if self.progress {
-            sinks.push(Arc::new(Heartbeat::new()));
-        }
-        if sinks.is_empty() {
-            return Ok(None);
-        }
-        Ok(Some(ObsStack { recorder: Arc::new(Multi::new(sinks)), jsonl, summary }))
-    }
+/// A narrow section's report.
+fn narrow<R: ?Sized>(r: &R, render: fn(&R) -> String, tables: fn(&R) -> Vec<Table>) -> Outcome {
+    Ok(Some(Report { text: render(r), tables: tables(r) }))
 }
 
-/// The live sink stack behind one `--obs` / `--progress` invocation:
-/// attach it to the session before the run, [`ObsStack::finish`] it
-/// after.
-pub struct ObsStack {
-    recorder: Arc<Multi>,
-    jsonl: Option<Arc<JsonlSink>>,
-    summary: Option<Arc<SummarySink>>,
+/// A grid section's report.
+fn grid<R>(
+    r: Result<Option<R>, CheckpointError>,
+    render: fn(&R) -> String,
+    tables: fn(&R) -> Vec<Table>,
+) -> Outcome {
+    Ok(r?.map(|r| Report { text: render(&r), tables: tables(&r) }))
 }
 
-impl ObsStack {
-    /// Attaches the stack to a session.
-    pub fn attach(&self, session: Session) -> Session {
-        session.recorder(self.recorder.clone())
-    }
+/// Every section of the report, in the `all` report's order.
+pub static EXPERIMENTS: [Experiment; 16] = [
+    // name, binary, its seed, `all`'s seed, grid suffix, run.
+    // Fig. 1 replays published Green500 data; it takes no seed.
+    row("fig01", "fig01", 0, 0, None, |_, _, _, _| {
+        use fig01_green500 as exp;
+        narrow(exp::run().as_slice(), exp::render, exp::tables)
+    }),
+    row("fig03", "fig03", 0xF163, 1, None, |scale, seed, _, _| {
+        use fig03_transition as exp;
+        narrow(&exp::run(&exp::Config::fig3(scale), seed), exp::render, exp::tables)
+    }),
+    row("tab1", "tab1", 0x7AB1, 2, Some(""), |scale, seed, session, spec| {
+        use tab1_mixed_freq as exp;
+        let r = exp::run_checkpointed(&exp::Config::new(scale), seed, session, spec);
+        grid(r, exp::render, exp::tables)
+    }),
+    row("fig04", "fig04", 0xF164, 3, None, |scale, seed, _, _| {
+        use fig04_l3_latency as exp;
+        narrow(&exp::run(&exp::Config::new(scale), seed), exp::render, exp::tables)
+    }),
+    row("fig05", "fig05", 0xF165, 4, None, |_, seed, _, _| {
+        use fig05_membw as exp;
+        narrow(&exp::run(seed), exp::render, exp::tables)
+    }),
+    row("fig06", "fig06", 0xF166, 5, Some(""), |scale, seed, session, spec| {
+        use fig06_firestarter as exp;
+        let r = exp::run_checkpointed(&exp::Config::new(scale), seed, session, spec);
+        grid(r, exp::render, exp::tables)
+    }),
+    row("fig07", "fig07", 0xF167, 6, Some(""), |scale, seed, session, spec| {
+        use fig07_idle_power as exp;
+        let r = exp::run_checkpointed(&exp::Config::new(scale), seed, session, spec);
+        grid(r, exp::render, exp::tables)
+    }),
+    row("fig08", "fig08", 0xF168, 7, None, |scale, seed, _, _| {
+        use fig08_wakeup as exp;
+        narrow(&exp::run(&exp::Config::new(scale), seed), exp::render, exp::tables)
+    }),
+    row("fig09", "fig09", 0xF169, 8, Some(""), |scale, seed, session, spec| {
+        use fig09_rapl_quality as exp;
+        let r = exp::run_checkpointed(&exp::Config::new(scale), seed, session, spec);
+        grid(r, exp::render, exp::tables)
+    }),
+    row("fig10-vxorps", "fig10", 0xF1610, 9, Some("-vxorps"), |scale, seed, session, spec| {
+        use fig10_hamming as exp;
+        let cfg = exp::Config::new(scale);
+        let r = exp::run_checkpointed(&cfg, seed, KernelClass::VXorps, session, spec);
+        grid(r, exp::render, exp::tables)
+    }),
+    row("fig10-shr", "fig10", 0xF1611, 10, Some("-shr"), |scale, seed, session, spec| {
+        use fig10_hamming as exp;
+        let cfg = exp::Config::new(scale);
+        let r = exp::run_checkpointed(&cfg, seed, KernelClass::Shr, session, spec);
+        grid(r, exp::render, exp::tables)
+    }),
+    row("sec5a", "sec5a", 0x5EC5A, 11, None, |_, seed, _, _| {
+        use sec5a_sibling as exp;
+        narrow(&exp::run(seed), exp::render, exp::tables)
+    }),
+    row("sec6b", "sec6b", 0x5EC6B, 12, None, |_, seed, _, _| {
+        use sec6b_offline as exp;
+        narrow(&exp::run(seed), exp::render, exp::tables)
+    }),
+    row("sec7", "sec7", 0x5EC7, 13, None, |_, seed, _, _| {
+        use sec7_update_rate as exp;
+        narrow(&exp::run(&exp::Config::default(), seed), exp::render, exp::tables)
+    }),
+    row("ext_manycore", "ext_manycore", 0xE87, 14, Some(""), |scale, seed, session, spec| {
+        use ext_manycore as exp;
+        let r = exp::run_checkpointed(&exp::Config::new(scale), seed, session, spec);
+        grid(r, exp::render, exp::tables)
+    }),
+    row("ext_cstate_breakeven", "ext_breakeven", 0xB4EA, 15, None, |_, seed, _, _| {
+        use ext_cstate_breakeven as exp;
+        narrow(&exp::run(seed), exp::render, exp::tables)
+    }),
+];
 
-    /// Flushes the JSONL trace and prints the summary table to stderr.
-    ///
-    /// # Errors
-    /// Errors when the trace file failed to write.
-    pub fn finish(&self) -> Result<(), String> {
-        if let Some(jsonl) = &self.jsonl {
-            jsonl.finish().map_err(|e| format!("writing telemetry trace: {e}"))?;
-        }
-        if let Some(summary) = &self.summary {
-            eprint!("{}", summary.render());
-        }
-        Ok(())
-    }
+/// `fig03 --anomaly`'s extra section, outside `all`: the §V-B
+/// 2.5↔2.2 GHz sweep (seed `0xF163A`) and its ≥5 ms-wait control
+/// (seed `0xF163B`), appended to the Fig. 3 report.
+pub static FIG03_ANOMALY: Experiment =
+    row("fig03-anomaly", "fig03", 0xF163A, 0xF163A, None, |scale, seed, _, _| {
+        use fig03_transition as exp;
+        let fast = exp::run(&exp::Config::anomaly(scale), seed);
+        let control = exp::run(&exp::Config::anomaly_long_waits(scale), seed + 1);
+        Ok(Some(Report {
+            text: format!(
+                "\n--- SS V-B anomaly: 2.5 <-> 2.2 GHz, waits 0-10 ms ---\n{}\
+                 \n--- SS V-B anomaly control: waits >= 5 ms (effect must vanish) ---\n{}",
+                exp::render(&fast),
+                exp::render(&control)
+            ),
+            tables: exp::tables(&fast).into_iter().chain(exp::tables(&control)).collect(),
+        }))
+    });
+
+/// The sections `bin` prints, in order: every entry for [`ALL`], the
+/// entries naming `bin` otherwise.
+pub fn sections(bin: &str) -> impl Iterator<Item = &'static Experiment> + '_ {
+    EXPERIMENTS.iter().filter(move |e| bin == ALL || e.bin == bin)
 }
 
-/// Builds the session a wide-grid binary streams through, honoring the
-/// optional `--workers <n>` / `--shard-size <n>` flags. Results never
-/// depend on either (the determinism contract); the flags control
-/// parallelism and — because checkpoints are cut at shard boundaries,
-/// every `workers × shard_size` cases — checkpoint granularity.
-///
-/// # Errors
-/// Errors with a usage message on a malformed flag.
-pub fn session_from_args() -> Result<Session, String> {
-    let mut session = Session::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let take = |args: &mut dyn Iterator<Item = String>, flag: &str| {
-            let n = args.next().ok_or(format!("{flag} needs a count"))?;
-            n.parse::<usize>().map_err(|_| format!("{flag} {n:?}: not a count"))
-        };
-        match arg.as_str() {
-            "--workers" => session = session.workers(take(&mut args, "--workers")?),
-            "--shard-size" => session = session.shard_size(take(&mut args, "--shard-size")?),
-            _ => {}
-        }
-    }
-    Ok(session)
+/// The per-section binaries, each once, in table order ([`ALL`] not
+/// included).
+pub fn bins() -> impl Iterator<Item = &'static str> {
+    EXPERIMENTS
+        .iter()
+        .enumerate()
+        .filter(|&(i, e)| i == 0 || EXPERIMENTS[i - 1].bin != e.bin)
+        .map(|(_, e)| e.bin)
 }
 
-/// The `main` of every checkpointed wide-grid binary: parses the
-/// checkpoint, observability, and session flags, runs the experiment,
-/// and either emits the report (text or `--json`, via [`report::emit`])
-/// or explains the outcome — usage errors exit 2, checkpoint failures
-/// exit 1, and a deliberate `--halt-after` halt exits 0 with a resume
-/// hint on stderr. `--obs` / `--progress` telemetry goes to the trace
-/// file and stderr, never stdout, so report output is unaffected.
-pub fn run_checkpointed_bin<R>(
-    name: &str,
-    run: impl FnOnce(&Session, &CheckpointSpec) -> Result<Option<R>, CheckpointError>,
-    render: impl FnOnce(&R) -> String,
-    tables: impl FnOnce(&R) -> Vec<report::Table>,
-) {
-    let usage = |message: String| -> ! {
-        eprintln!("{name}: {message}");
-        std::process::exit(2);
-    };
-    let cli = CheckpointCli::from_args().unwrap_or_else(|message| usage(message));
-    let obs = ObsCli::from_args().unwrap_or_else(|message| usage(message));
-    let mut session = session_from_args().unwrap_or_else(|message| usage(message));
-    let stack = obs.stack().unwrap_or_else(|message| usage(message));
-    if let Some(stack) = &stack {
-        session = stack.attach(session);
-    }
-    let outcome = run(&session, &cli.spec());
-    if let Some(stack) = &stack {
-        if let Err(message) = stack.finish() {
-            eprintln!("{name}: {message}");
-            std::process::exit(1);
-        }
-    }
-    match outcome {
-        Ok(Some(result)) => report::emit(|| render(&result), || tables(&result)),
-        Ok(None) => {
-            let path = cli.path.as_deref().unwrap_or_else(|| std::path::Path::new("<path>"));
-            match cli.shard {
-                // A shard run reports nothing even when its own range is
-                // done: only the merged whole renders (zen2-fleet).
-                Some(shard) if cli.halt_after.is_none() => eprintln!(
-                    "{name}: shard {shard} done; merge the range checkpoints \
-                     (zen2-fleet) to produce the report"
-                ),
-                _ => eprintln!(
-                    "{name}: halted mid-sweep (--halt-after); \
-                     resume with --checkpoint {} --resume",
-                    path.display()
-                ),
-            }
-        }
-        Err(error) => {
-            eprintln!("{name}: {error}");
-            std::process::exit(1);
-        }
-    }
+/// Whether `bin` honours `--halt-after`. The flag counts one grid's
+/// checkpoint saves, so only a binary that folds exactly one grid
+/// takes it (not `fig10`, not [`ALL`]).
+pub fn can_halt(bin: &str) -> bool {
+    sections(bin).filter(|e| e.grid.is_some()).count() == 1
 }
 
 #[cfg(test)]
@@ -388,70 +290,29 @@ mod tests {
         assert_eq!(Scale::Paper.pick(1, 100), 100);
     }
 
-    fn parse(args: &[&str]) -> Result<CheckpointCli, String> {
-        CheckpointCli::parse(args.iter().map(|s| s.to_string()))
+    #[test]
+    fn the_table_lists_each_binary_once_in_report_order() {
+        let bins: Vec<_> = bins().collect();
+        assert_eq!(bins.len(), 15);
+        assert_eq!(&bins[..3], ["fig01", "fig03", "tab1"]);
+        assert_eq!(sections("fig10").count(), 2);
+        assert_eq!(sections(ALL).count(), EXPERIMENTS.len());
+        // `all`'s seeds are the section indices; no two sections share one.
+        for (i, e) in EXPERIMENTS.iter().enumerate() {
+            assert_eq!(e.all_seed, i as u64, "{}", e.name);
+        }
     }
 
     #[test]
-    fn checkpoint_cli_parses_the_flag_triple() {
-        let cli = parse(&["--json", "--checkpoint", "ck.json", "--resume"]).unwrap();
-        assert_eq!(cli.path.as_deref(), Some(std::path::Path::new("ck.json")));
-        assert!(cli.resume);
-        assert_eq!(cli.halt_after, None);
-        let cli = parse(&["--checkpoint", "ck", "--halt-after", "3"]).unwrap();
-        assert_eq!(cli.halt_after, Some(3));
-        assert_eq!(parse(&["--paper"]).unwrap(), CheckpointCli::default());
-    }
-
-    #[test]
-    fn checkpoint_cli_rejects_incomplete_flags() {
-        assert!(parse(&["--checkpoint"]).is_err());
-        assert!(parse(&["--resume"]).unwrap_err().contains("--checkpoint"));
-        assert!(parse(&["--halt-after", "2"]).unwrap_err().contains("--checkpoint"));
-        assert!(parse(&["--checkpoint", "ck", "--halt-after", "soon"]).is_err());
-        assert!(parse(&["--shard-range", "0/3"]).unwrap_err().contains("--checkpoint"));
-        assert!(parse(&["--checkpoint", "ck", "--shard-range", "3/3"])
-            .unwrap_err()
-            .contains("i/N"));
-    }
-
-    #[test]
-    fn checkpoint_cli_parses_shard_ranges() {
-        let cli = parse(&["--checkpoint", "ck", "--shard-range", "1/3"]).unwrap();
-        assert_eq!(cli.shard, Some(ShardRange { index: 1, of: 3 }));
-        assert_eq!(cli.spec().shard, Some(ShardRange { index: 1, of: 3 }));
-        // `all` propagates the shard to every per-experiment spec.
-        assert_eq!(cli.spec_for("fig09").shard, Some(ShardRange { index: 1, of: 3 }));
-    }
-
-    fn parse_obs(args: &[&str]) -> Result<ObsCli, String> {
-        ObsCli::parse(args.iter().map(|s| s.to_string()))
-    }
-
-    #[test]
-    fn obs_cli_parses_the_flag_pair() {
-        let cli = parse_obs(&["--json", "--obs", "trace.jsonl", "--progress"]).unwrap();
-        assert_eq!(cli.obs.as_deref(), Some(std::path::Path::new("trace.jsonl")));
-        assert!(cli.progress);
-        assert_eq!(parse_obs(&["--paper"]).unwrap(), ObsCli::default());
-        assert!(parse_obs(&["--obs"]).is_err(), "--obs needs a path");
-    }
-
-    #[test]
-    fn obs_stack_is_absent_without_flags() {
-        assert!(ObsCli::default().stack().unwrap().is_none());
-        let progress_only = ObsCli { obs: None, progress: true };
-        let stack = progress_only.stack().unwrap().expect("progress builds a stack");
-        stack.finish().unwrap();
-    }
-
-    #[test]
-    fn spec_for_appends_the_experiment_name() {
-        let cli = parse(&["--checkpoint", "run/ck", "--resume", "--halt-after", "2"]).unwrap();
-        let spec = cli.spec_for("fig09");
-        assert_eq!(spec.path.as_deref(), Some(std::path::Path::new("run/ck-fig09")));
-        assert!(spec.resume);
-        assert_eq!(spec.halt_after, None, "halt-after is not propagated to `all`");
-        assert_eq!(cli.spec().halt_after, Some(2));
+    fn grid_suffixes_follow_the_running_binary() {
+        let fig07 = sections("fig07").next().unwrap();
+        assert_eq!(fig07.suffix("fig07").as_deref(), Some(""));
+        assert_eq!(fig07.suffix(ALL).as_deref(), Some("-fig07"));
+        let shr = sections("fig10").nth(1).unwrap();
+        assert_eq!(shr.suffix("fig10").as_deref(), Some("-shr"));
+        assert_eq!(shr.suffix(ALL).as_deref(), Some("-fig10-shr"));
+        assert_eq!(sections("fig04").next().unwrap().suffix(ALL), None);
+        assert!(can_halt("fig09") && can_halt("tab1"));
+        assert!(!can_halt("fig10") && !can_halt(ALL) && !can_halt("fig04"));
     }
 }

@@ -1,6 +1,7 @@
 //! Text-table rendering and paper-vs-measured comparison helpers.
 
 use std::fmt::Write as _;
+use zen2_sim::Json;
 
 /// A simple aligned text table.
 #[derive(Debug, Clone)]
@@ -81,80 +82,30 @@ impl Table {
         out
     }
 
-    /// Writes the table as JSON: `{"title", "headers", "rows"}` with
+    /// The table as a JSON tree: `{"title", "headers", "rows"}` with
     /// rows as objects keyed by header, so large-grid sweep summaries
     /// are machine-readable without a CSV parser.
+    pub fn json(&self) -> Json {
+        let row = |cells: &Vec<String>| {
+            Json::Obj(self.headers.iter().cloned().zip(cells.iter().map(Json::str)).collect())
+        };
+        Json::obj([
+            ("title", Json::str(&self.title)),
+            ("headers", Json::Arr(self.headers.iter().map(Json::str).collect())),
+            ("rows", Json::Arr(self.rows.iter().map(row).collect())),
+        ])
+    }
+
+    /// The table as compact JSON text ([`Table::json`] rendered).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        let _ = write!(out, "\"title\":{},\"headers\":[", json_escape(&self.title));
-        for (i, h) in self.headers.iter().enumerate() {
-            let _ = write!(out, "{}{}", if i > 0 { "," } else { "" }, json_escape(h));
-        }
-        out.push_str("],\"rows\":[");
-        for (r, row) in self.rows.iter().enumerate() {
-            if r > 0 {
-                out.push(',');
-            }
-            out.push('{');
-            for (c, (header, cell)) in self.headers.iter().zip(row).enumerate() {
-                let _ = write!(
-                    out,
-                    "{}{}:{}",
-                    if c > 0 { "," } else { "" },
-                    json_escape(header),
-                    json_escape(cell)
-                );
-            }
-            out.push('}');
-        }
-        out.push_str("]}");
-        out
+        self.json().render()
     }
 }
 
 /// Renders a set of tables as one JSON array document — the `--json`
 /// output shape shared by every experiment binary.
 pub fn tables_to_json(tables: &[Table]) -> String {
-    let mut out = String::from("[");
-    for (i, t) in tables.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&t.to_json());
-    }
-    out.push(']');
-    out
-}
-
-/// Prints an experiment's report: the JSON array of `tables` when
-/// `--json` was passed on the command line, the rendered `text`
-/// otherwise. Every experiment binary routes its output through this,
-/// so the `--json` contract is uniform across the tree.
-pub fn emit(text: impl FnOnce() -> String, tables: impl FnOnce() -> Vec<Table>) {
-    if std::env::args().any(|a| a == "--json") {
-        println!("{}", tables_to_json(&tables()));
-    } else {
-        print!("{}", text());
-    }
-}
-
-/// Renders a string as a JSON string literal (quotes included).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+    Json::Arr(tables.iter().map(Table::json).collect()).render()
 }
 
 /// Formats a paper-vs-measured pair with the relative deviation.

@@ -7,8 +7,8 @@
 //! round-trip is exact. This module provides that round-trip:
 //!
 //! * [`Json`] — a small JSON document tree with a hand-rolled renderer
-//!   and parser (the vendored serde shim has no serializer, following
-//!   the `Table::to_json` approach in the experiments crate). Numbers
+//!   and parser (the vendored serde shim has no serializer; the
+//!   experiments crate's `--json` tables render through it too). Numbers
 //!   are kept as their literal text, so a `u64` or an `f64` written by
 //!   the renderer parses back to the identical bits.
 //! * [`Snapshot`] — the trait every accumulator implements: dump the
